@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/contracts.hpp"
+#include "common/simd.hpp"
 
 namespace zipline::bits {
 
@@ -197,6 +198,12 @@ std::vector<std::uint8_t> BitVector::to_bytes() const {
 void BitVector::append_bytes_to(std::vector<std::uint8_t>& out) const {
   const std::size_t start = out.size();
   out.resize(start + (size_ + 7) / 8, 0);
+  if (size_ % kWordBits == 0) {
+    // Whole words: the wire-order pack kernel is exactly this mapping.
+    simd::active().pack_words_be_rev(out.data() + start, words_.data(),
+                                     words_.size());
+    return;
+  }
   // `bit` advances in steps of 8 from 0, so a byte never straddles a word.
   std::size_t bit = 0;
   for (std::size_t byte_idx = out.size(); byte_idx-- > start && bit < size_;) {

@@ -1,8 +1,27 @@
 #include "engine/engine.hpp"
 
+#include <algorithm>
+
 #include "common/contracts.hpp"
 
 namespace zipline::engine {
+
+namespace {
+
+/// Grow-only: shrinking would discard the BitVector capacities that make
+/// steady-state units allocation-free.
+void grow(DecodeUnit& unit, std::size_t count) {
+  if (unit.types.size() >= count) return;
+  unit.types.resize(count);
+  unit.syndromes.resize(count);
+  unit.ids.resize(count);
+  unit.excesses.resize(count);
+  unit.bases.resize(count);
+  unit.hashes.resize(count);
+  unit.raws.resize(count);
+}
+
+}  // namespace
 
 Engine::Engine(const gd::GdParams& params, gd::EvictionPolicy policy,
                bool learn, std::size_t dictionary_shards)
@@ -17,29 +36,46 @@ Engine::Engine(const gd::GdParams& params,
              "shared dictionary must be sized for the engine's id space");
 }
 
-gd::PacketType Engine::classify(const gd::TransformedChunk& transformed,
-                                std::uint32_t& id) {
+gd::PacketType Engine::account_chunk(std::uint32_t id) {
+  const gd::GdParams& p = params();
   ++stats_.chunks;
-  stats_.bytes_in += params().raw_payload_bytes();
-  // lookup_or_insert keeps miss-then-learn atomic on a shared dictionary
-  // (one stripe acquisition), so concurrent learners of one fresh basis
-  // cannot double-insert; privately it is the plain serial sequence.
-  if (const auto hit = dictionary_.lookup_or_insert(transformed.basis,
-                                                    learn_)) {
-    id = *hit;
+  stats_.bytes_in += p.raw_payload_bytes();
+  if (id != gd::BatchOp::kNoId) {
     ++stats_.compressed_packets;
-    stats_.bytes_out += params().type3_payload_bytes();
+    stats_.bytes_out += p.type3_payload_bytes();
     return gd::PacketType::compressed;
   }
   ++stats_.uncompressed_packets;
-  stats_.bytes_out += params().type2_payload_bytes();
+  stats_.bytes_out += p.type2_payload_bytes();
   return gd::PacketType::uncompressed;
+}
+
+void Engine::account_packet(gd::PacketType type, std::size_t raw_bytes) {
+  const gd::GdParams& p = params();
+  ++stats_.chunks;
+  if (type == gd::PacketType::raw) {
+    note_raw_tail(raw_bytes);
+    return;
+  }
+  if (type == gd::PacketType::uncompressed) {
+    ++stats_.uncompressed_packets;
+    stats_.bytes_in += p.type2_payload_bytes();
+  } else {
+    ++stats_.compressed_packets;
+    stats_.bytes_in += p.type3_payload_bytes();
+  }
+  stats_.bytes_out += p.raw_payload_bytes();
 }
 
 gd::PacketType Engine::encode_step(const bits::BitVector& chunk) {
   ZL_EXPECTS(chunk.size() == params().chunk_bits);
   transform_.forward_into(chunk, scratch_, word_scratch_);
-  return classify(scratch_, scratch_id_);
+  // lookup_or_insert keeps miss-then-learn atomic on a shared dictionary
+  // (one stripe acquisition), so concurrent learners of one fresh basis
+  // cannot double-insert; privately it is the plain serial sequence.
+  scratch_id_ = dictionary_.lookup_or_insert(scratch_.basis, learn_)
+                    .value_or(gd::BatchOp::kNoId);
+  return account_chunk(scratch_id_);
 }
 
 void Engine::emit_chunk(const gd::TransformedChunk& transformed,
@@ -73,40 +109,37 @@ void Engine::encode_chunk(const bits::BitVector& chunk, EncodeBatch& out) {
 
 void Engine::encode_payload(std::span<const std::uint8_t> payload,
                             EncodeBatch& out) {
-  // Wire framing of raw chunks is byte-based; require byte-sized chunks.
-  ZL_EXPECTS(params().chunk_bits % 8 == 0);
-  const std::size_t chunk_bytes = params().chunk_bits / 8;
-  const std::size_t full = payload.size() / chunk_bytes;
-  for (std::size_t i = 0; i < full; ++i) {
-    chunk_scratch_.assign_from_bytes(
-        payload.subspan(i * chunk_bytes, chunk_bytes), params().chunk_bits);
-    encode_chunk(chunk_scratch_, out);
-  }
-  const auto tail = payload.subspan(full * chunk_bytes);
-  if (!tail.empty()) {
-    note_raw_tail(tail.size());
-    out.append(gd::PacketType::raw, 0, 0, tail);
-  }
+  // Full windows carry no tail; the last (possibly chunkless) window
+  // carries the raw tail, so the loop runs at least once.
+  const std::size_t window = kWindowChunks * (params().chunk_bits / 8);
+  std::size_t offset = 0;
+  do {
+    const auto part =
+        payload.subspan(offset, std::min(window, payload.size() - offset));
+    offset += part.size();
+    encode_transform(part, encode_unit_);
+    encode_resolve(encode_unit_);
+    emit_encoded(encode_unit_, out);
+  } while (offset < payload.size());
   ++stats_.batches;
 }
 
 void Engine::encode_transform(std::span<const std::uint8_t> payload,
                               EncodeUnit& unit) {
+  // Wire framing of raw chunks is byte-based; require byte-sized chunks.
   ZL_EXPECTS(params().chunk_bits % 8 == 0);
   const std::size_t chunk_bytes = params().chunk_bits / 8;
   const std::size_t full = payload.size() / chunk_bytes;
   if (unit.transformed.size() < full) {
-    // Grow-only: shrinking would discard the BitVector capacities that
-    // make steady-state units allocation-free.
+    // Grow-only, like the decode unit.
     unit.transformed.resize(full);
     unit.types.resize(full);
     unit.ids.resize(full);
     unit.hashes.resize(full);
   }
-  // Transform fast path: the whole unit canonicalizes as one kernel batch
-  // over the block scratch's word-plane (multi-stream syndrome fold +
-  // block slice) — byte-identical to forward_into per chunk, without the
-  // per-chunk BitVector call chain.
+  // The whole unit canonicalizes as one kernel batch over the block
+  // scratch's word-plane (multi-stream syndrome fold + block slice) —
+  // byte-identical to forward_into per chunk.
   transform_.forward_block(payload, full,
                            std::span(unit.transformed.data(), full),
                            block_scratch_);
@@ -123,15 +156,18 @@ void Engine::encode_transform(std::span<const std::uint8_t> payload,
 
 void Engine::encode_resolve(EncodeUnit& unit) {
   if (!dictionary_.is_shared()) {
-    // Private dictionary: per-chunk classify, whose lazy single-shard
-    // path lets the prefilter resolve most misses without hashing. The
-    // probe stage ahead of it prefetches every chunk's prefilter slot so
-    // the classify loop stops eating the cold misses serially.
+    // Private dictionary: per-chunk lookup_or_insert, whose lazy
+    // single-shard path lets the prefilter resolve most misses without
+    // hashing. The probe stage ahead of it prefetches every chunk's
+    // prefilter slot so the loop stops eating the cold misses serially.
     for (std::size_t i = 0; i < unit.chunks; ++i) {
       dictionary_.prefetch(unit.transformed[i].basis);
     }
     for (std::size_t i = 0; i < unit.chunks; ++i) {
-      unit.types[i] = classify(unit.transformed[i], unit.ids[i]);
+      unit.ids[i] = dictionary_.lookup_or_insert(unit.transformed[i].basis,
+                                                 learn_)
+                        .value_or(gd::BatchOp::kNoId);
+      unit.types[i] = account_chunk(unit.ids[i]);
     }
     return;
   }
@@ -149,8 +185,8 @@ void Engine::encode_resolve(EncodeUnit& unit) {
 
 void Engine::encode_resolve_plan(EncodeUnit& unit) {
   ZL_EXPECTS(dictionary_.is_shared());
-  // The plan replays the exact op sequence classify would issue — one
-  // lookup_or_insert (or bare lookup when not learning) per chunk, in
+  // The plan replays the exact op sequence the private loop would issue —
+  // one lookup_or_insert (or bare lookup when not learning) per chunk, in
   // chunk order — so types, identifiers and statistics are identical.
   batch_ops_.resize(unit.chunks);
   const gd::BatchOp::Kind kind = learn_ ? gd::BatchOp::Kind::lookup_or_insert
@@ -175,24 +211,13 @@ void Engine::resolve_shard(std::size_t shard) {
 }
 
 void Engine::encode_resolve_finish(EncodeUnit& unit) {
-  const gd::GdParams& p = params();
   for (std::size_t i = 0; i < unit.chunks; ++i) {
-    ++stats_.chunks;
-    stats_.bytes_in += p.raw_payload_bytes();
-    if (batch_ops_[i].result != gd::BatchOp::kNoId) {
-      unit.ids[i] = batch_ops_[i].result;
-      unit.types[i] = gd::PacketType::compressed;
-      ++stats_.compressed_packets;
-      stats_.bytes_out += p.type3_payload_bytes();
-    } else {
-      unit.types[i] = gd::PacketType::uncompressed;
-      ++stats_.uncompressed_packets;
-      stats_.bytes_out += p.type2_payload_bytes();
-    }
+    unit.ids[i] = batch_ops_[i].result;
+    unit.types[i] = account_chunk(unit.ids[i]);
   }
 }
 
-void Engine::encode_emit(const EncodeUnit& unit, EncodeBatch& out) {
+void Engine::emit_encoded(const EncodeUnit& unit, EncodeBatch& out) {
   for (std::size_t i = 0; i < unit.chunks; ++i) {
     emit_chunk(unit.transformed[i], unit.types[i], unit.ids[i], out);
   }
@@ -200,6 +225,10 @@ void Engine::encode_emit(const EncodeUnit& unit, EncodeBatch& out) {
     note_raw_tail(unit.tail.size());
     out.append(gd::PacketType::raw, 0, 0, unit.tail);
   }
+}
+
+void Engine::encode_emit(const EncodeUnit& unit, EncodeBatch& out) {
+  emit_encoded(unit, out);
   ++stats_.batches;
 }
 
@@ -214,120 +243,70 @@ gd::GdPacket Engine::encode_chunk_packet(const bits::BitVector& chunk) {
                                          scratch_.basis);
 }
 
-void Engine::decode_step(gd::PacketType type, std::uint32_t syndrome) {
-  const gd::GdParams& p = params();
-  if (type == gd::PacketType::uncompressed) {
-    ++stats_.uncompressed_packets;
-    stats_.bytes_in += p.type2_payload_bytes();
-    if (learn_) {
-      dictionary_.insert_if_absent(scratch_.basis);
-    }
-    stats_.bytes_out += p.raw_payload_bytes();
-    transform_.inverse_into(scratch_.excess, scratch_.basis, syndrome,
-                            chunk_scratch_, word_scratch_);
-  } else {
-    ++stats_.compressed_packets;
-    stats_.bytes_in += p.type3_payload_bytes();
-    stats_.bytes_out += p.raw_payload_bytes();
-    if (dictionary_.is_shared()) {
-      // A reference into a shared dictionary dies with the shard lock;
-      // copy the basis out instead (reusing the scratch's storage).
-      const bool mapped =
-          dictionary_.lookup_basis_into(scratch_id_, basis_scratch_);
-      ZL_EXPECTS(mapped && "compressed packet with unknown ID");
-      transform_.inverse_into(scratch_.excess, basis_scratch_, syndrome,
-                              chunk_scratch_, word_scratch_);
-    } else {
-      const bits::BitVector* basis = dictionary_.lookup_basis_ref(scratch_id_);
-      ZL_EXPECTS(basis != nullptr && "compressed packet with unknown ID");
-      transform_.inverse_into(scratch_.excess, *basis, syndrome,
-                              chunk_scratch_, word_scratch_);
-    }
+void Engine::parse_packet(gd::PacketType type,
+                          std::span<const std::uint8_t> payload,
+                          DecodeUnit& unit, std::size_t row) {
+  unit.types[row] = type;
+  if (type == gd::PacketType::raw) {
+    unit.raws[row] = payload;
+    return;
   }
+  const gd::GdParams& p = params();
+  const bool uncompressed = type == gd::PacketType::uncompressed;
+  const std::size_t body =
+      uncompressed ? p.type2_payload_bytes() : p.type3_payload_bytes();
+  ZL_EXPECTS(payload.size() >= body);
+  bits::BitReader reader(payload.first(body));
+  unit.syndromes[row] = static_cast<std::uint32_t>(
+      reader.read_uint(static_cast<std::size_t>(p.m)));
+  reader.read_bits_into(p.excess_bits(), unit.excesses[row]);
+  if (uncompressed) {
+    reader.read_bits_into(p.k(), unit.bases[row]);
+    if (learn_ && dictionary_.is_shared()) {
+      // Hash the learnable basis in the (concurrent) parse phase; the
+      // sequenced resolve phase reuses it — see encode_transform.
+      unit.hashes[row] = unit.bases[row].hash();
+    }
+  } else {
+    unit.ids[row] = static_cast<std::uint32_t>(reader.read_uint(p.id_bits));
+  }
+}
+
+void Engine::parse_window(const EncodeBatch& in, std::size_t first,
+                          std::size_t count, DecodeUnit& unit) {
+  grow(unit, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const PacketDesc& desc = in.packet(first + i);
+    parse_packet(desc.type, in.payload(desc), unit, i);
+  }
+  unit.packets = count;
+}
+
+void Engine::decode_parse(const EncodeBatch& in, DecodeUnit& unit) {
+  parse_window(in, 0, in.size(), unit);
 }
 
 void Engine::decode_wire(gd::PacketType type,
                          std::span<const std::uint8_t> payload,
                          DecodeBatch& out) {
-  ++stats_.chunks;
-  if (type == gd::PacketType::raw) {
-    ++stats_.raw_packets;
-    stats_.bytes_in += payload.size();
-    stats_.bytes_out += payload.size();
-    out.append_raw(payload);
-    return;
-  }
-  const gd::GdParams& p = params();
-  const std::size_t body = type == gd::PacketType::uncompressed
-                               ? p.type2_payload_bytes()
-                               : p.type3_payload_bytes();
-  ZL_EXPECTS(payload.size() >= body);
-  bits::BitReader reader(payload.first(body));
-  const auto syndrome =
-      static_cast<std::uint32_t>(reader.read_uint(static_cast<std::size_t>(p.m)));
-  reader.read_bits_into(p.excess_bits(), scratch_.excess);
-  if (type == gd::PacketType::uncompressed) {
-    reader.read_bits_into(p.k(), scratch_.basis);
-  } else {
-    scratch_id_ = static_cast<std::uint32_t>(reader.read_uint(p.id_bits));
-  }
-  decode_step(type, syndrome);
-  out.append_chunk(type, chunk_scratch_);
+  grow(decode_unit_, 1);
+  parse_packet(type, payload, decode_unit_, 0);
+  decode_unit_.packets = 1;
+  decode_resolve(decode_unit_);
+  decode_emit(decode_unit_, out);
 }
 
 void Engine::decode_batch(const EncodeBatch& in, DecodeBatch& out) {
-  for (const PacketDesc& desc : in.packets()) {
-    decode_wire(desc.type, in.payload(desc), out);
+  for (std::size_t first = 0; first < in.size(); first += kWindowChunks) {
+    parse_window(in, first, std::min(kWindowChunks, in.size() - first),
+                 decode_unit_);
+    decode_resolve(decode_unit_);
+    emit_decoded(decode_unit_, out);
   }
   ++stats_.batches;
 }
 
-void Engine::decode_parse(const EncodeBatch& in, DecodeUnit& unit) {
-  const gd::GdParams& p = params();
-  const std::size_t count = in.size();
-  if (unit.types.size() < count) {
-    unit.types.resize(count);
-    unit.syndromes.resize(count);
-    unit.ids.resize(count);
-    unit.excesses.resize(count);
-    unit.bases.resize(count);
-    unit.hashes.resize(count);
-    unit.raws.resize(count);
-  }
-  const bool shared = dictionary_.is_shared();
-  for (std::size_t i = 0; i < count; ++i) {
-    const PacketDesc& desc = in.packet(i);
-    const auto payload = in.payload(desc);
-    unit.types[i] = desc.type;
-    if (desc.type == gd::PacketType::raw) {
-      unit.raws[i] = payload;
-      continue;
-    }
-    const std::size_t body = desc.type == gd::PacketType::uncompressed
-                                 ? p.type2_payload_bytes()
-                                 : p.type3_payload_bytes();
-    ZL_EXPECTS(payload.size() >= body);
-    bits::BitReader reader(payload.first(body));
-    unit.syndromes[i] = static_cast<std::uint32_t>(
-        reader.read_uint(static_cast<std::size_t>(p.m)));
-    reader.read_bits_into(p.excess_bits(), unit.excesses[i]);
-    if (desc.type == gd::PacketType::uncompressed) {
-      reader.read_bits_into(p.k(), unit.bases[i]);
-      if (shared && learn_) {
-        // Hash the learnable basis in the (concurrent) parse phase; the
-        // sequenced resolve phase reuses it — see encode_transform.
-        unit.hashes[i] = unit.bases[i].hash();
-      }
-    } else {
-      unit.ids[i] =
-          static_cast<std::uint32_t>(reader.read_uint(p.id_bits));
-    }
-  }
-  unit.packets = count;
-}
-
 void Engine::decode_resolve(DecodeUnit& unit) {
-  const gd::GdParams& p = params();
   if (dictionary_.is_shared()) {
     // Shared dictionary: plan + per-shard apply + finish (see
     // encode_resolve).
@@ -335,36 +314,19 @@ void Engine::decode_resolve(DecodeUnit& unit) {
     for (std::size_t s = 0; s < dictionary_.shard_count(); ++s) {
       resolve_shard(s);
     }
-    decode_resolve_finish(unit);
-    return;
-  }
-  for (std::size_t i = 0; i < unit.packets; ++i) {
-    ++stats_.chunks;
-    switch (unit.types[i]) {
-      case gd::PacketType::raw:
-        ++stats_.raw_packets;
-        stats_.bytes_in += unit.raws[i].size();
-        stats_.bytes_out += unit.raws[i].size();
-        break;
-      case gd::PacketType::uncompressed:
-        ++stats_.uncompressed_packets;
-        stats_.bytes_in += p.type2_payload_bytes();
-        stats_.bytes_out += p.raw_payload_bytes();
-        if (learn_) {
-          dictionary_.insert_if_absent(unit.bases[i]);
-        }
-        break;
-      default: {
-        ++stats_.compressed_packets;
-        stats_.bytes_in += p.type3_payload_bytes();
-        stats_.bytes_out += p.raw_payload_bytes();
-        const bool mapped =
-            dictionary_.lookup_basis_into(unit.ids[i], unit.bases[i]);
-        ZL_EXPECTS(mapped && "compressed packet with unknown ID");
-        break;
+  } else {
+    for (std::size_t i = 0; i < unit.packets; ++i) {
+      if (unit.types[i] == gd::PacketType::raw) continue;
+      if (unit.types[i] == gd::PacketType::uncompressed) {
+        if (learn_) dictionary_.insert_if_absent(unit.bases[i]);
+        continue;
       }
+      const bool mapped =
+          dictionary_.lookup_basis_into(unit.ids[i], unit.bases[i]);
+      ZL_EXPECTS(mapped && "compressed packet with unknown ID");
     }
   }
+  decode_resolve_finish(unit);
 }
 
 void Engine::decode_resolve_plan(DecodeUnit& unit) {
@@ -394,40 +356,21 @@ void Engine::decode_resolve_plan(DecodeUnit& unit) {
 }
 
 void Engine::decode_resolve_finish(DecodeUnit& unit) {
-  const gd::GdParams& p = params();
-  std::size_t op = 0;
+  for (const gd::BatchOp& op : batch_ops_) {
+    ZL_EXPECTS((op.kind != gd::BatchOp::Kind::fetch_basis ||
+                op.result != gd::BatchOp::kNoId) &&
+               "compressed packet with unknown ID");
+  }
   for (std::size_t i = 0; i < unit.packets; ++i) {
-    ++stats_.chunks;
-    switch (unit.types[i]) {
-      case gd::PacketType::raw:
-        ++stats_.raw_packets;
-        stats_.bytes_in += unit.raws[i].size();
-        stats_.bytes_out += unit.raws[i].size();
-        break;
-      case gd::PacketType::uncompressed:
-        ++stats_.uncompressed_packets;
-        stats_.bytes_in += p.type2_payload_bytes();
-        stats_.bytes_out += p.raw_payload_bytes();
-        if (learn_) ++op;
-        break;
-      default:
-        ++stats_.compressed_packets;
-        stats_.bytes_in += p.type3_payload_bytes();
-        stats_.bytes_out += p.raw_payload_bytes();
-        ZL_EXPECTS(batch_ops_[op].result != gd::BatchOp::kNoId &&
-                   "compressed packet with unknown ID");
-        ++op;
-        break;
-    }
+    account_packet(unit.types[i], unit.raws[i].size());
   }
 }
 
-void Engine::decode_emit(const DecodeUnit& unit, DecodeBatch& out) {
-  // Transform fast path, inverse direction: stage every non-raw packet's
-  // (basis, syndrome) into the block scratch, expand them all as one
-  // kernel batch, then emit in packet order composing each chunk from its
-  // expanded word row plus the verbatim excess. Byte-identical to
-  // inverse_into per packet.
+void Engine::emit_decoded(const DecodeUnit& unit, DecodeBatch& out) {
+  // Stage every non-raw packet's (basis, syndrome) into the block scratch,
+  // expand them all as one kernel batch, then emit in packet order
+  // composing each chunk from its expanded word row plus the verbatim
+  // excess. Byte-identical to inverse_into per packet.
   transform_.inverse_block_reserve(unit.packets, block_scratch_);
   std::size_t rows = 0;
   for (std::size_t i = 0; i < unit.packets; ++i) {
@@ -448,32 +391,34 @@ void Engine::decode_emit(const DecodeUnit& unit, DecodeBatch& out) {
     chunk_scratch_.accumulate_shifted(unit.excesses[i], n);
     out.append_chunk(unit.types[i], chunk_scratch_);
   }
+}
+
+void Engine::decode_emit(const DecodeUnit& unit, DecodeBatch& out) {
+  emit_decoded(unit, out);
   ++stats_.batches;
 }
 
 bits::BitVector Engine::decode_packet(const gd::GdPacket& packet) {
-  ++stats_.chunks;
+  account_packet(packet.type, packet.raw.size());
   if (packet.type == gd::PacketType::raw) {
-    ++stats_.raw_packets;
-    stats_.bytes_in += packet.raw.size();
-    stats_.bytes_out += packet.raw.size();
     return bits::BitVector::from_bytes(packet.raw, packet.raw.size() * 8);
   }
-  // Stage the packet fields in the scratch and run the shared transition,
-  // so this adapter path cannot drift from the batch path.
-  scratch_.excess = packet.excess;
   if (packet.type == gd::PacketType::uncompressed) {
-    scratch_.basis = packet.basis;
-  } else {
-    scratch_id_ = packet.basis_id;
+    if (learn_) dictionary_.insert_if_absent(packet.basis);
+    transform_.inverse_into(packet.excess, packet.basis, packet.syndrome,
+                            chunk_scratch_, word_scratch_);
+    return chunk_scratch_;
   }
-  decode_step(packet.type, packet.syndrome);
+  const bool mapped =
+      dictionary_.lookup_basis_into(packet.basis_id, basis_scratch_);
+  ZL_EXPECTS(mapped && "compressed packet with unknown ID");
+  transform_.inverse_into(packet.excess, basis_scratch_, packet.syndrome,
+                          chunk_scratch_, word_scratch_);
   return chunk_scratch_;
 }
 
 void Engine::note_raw_passthrough(std::size_t bytes) {
-  ++stats_.chunks;
-  note_raw_tail(bytes);
+  account_packet(gd::PacketType::raw, bytes);
 }
 
 void Engine::note_raw_tail(std::size_t bytes) {

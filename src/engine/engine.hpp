@@ -8,27 +8,24 @@
 // the one-table-per-direction service many engines of a parallel pipeline
 // consult and teach together (see gd/dictionary_handle.hpp).
 //
-// Two data paths:
+// One data path, like the switch's parse -> match-action -> deparse: every
+// batch runs transform -> resolve -> emit over a unit of work staged in an
+// EncodeUnit / DecodeUnit. The transform (chunk + forward transform, or
+// wire parse) and the emit (serialize, or inverse transform) are pure
+// per-engine work; only the resolve phase touches the dictionary. The
+// phases are public so the parallel pipeline can run transform and emit
+// concurrently across workers while sequencing only the resolves, and
+// encode_payload / decode_batch / decode_wire are the same three phases
+// over an engine-owned unit, in windows of at most kWindowChunks rows.
+// In steady state (dictionary warm, arena capacities grown) a batch
+// performs zero heap allocations — verified by tests/engine_alloc_test.cpp
+// and swept by bench_micro_core.
 //
-//   * Single-pass: encode_payload / decode_batch stream serialized wire
-//     payloads into caller-provided EncodeBatch / DecodeBatch arenas,
-//     using only internal scratch reused across calls. In steady state
-//     (dictionary warm, arena capacities grown) an encode or decode
-//     performs zero heap allocations per chunk — verified by
-//     tests/engine_alloc_test.cpp and swept by bench_micro_core.
-//
-//   * Split-phase: encode_transform / encode_resolve / encode_emit (and
-//     the decode_* mirror) break one unit of work into a pure transform
-//     phase, a dictionary phase and a pure serialization phase, staged in
-//     a caller-owned EncodeUnit / DecodeUnit scratch. The parallel
-//     pipeline's shared-dictionary mode runs transform and emit
-//     concurrently across workers while sequencing only the resolve
-//     phases, and the three phases compose to byte-identical output with
-//     the single-pass path (same helpers, same order).
-//
-// The per-chunk GdEncoder/GdDecoder API in gd/codec.hpp is a thin adapter
-// over this class; batch and per-chunk paths produce byte-identical wire
-// payloads (tests/engine_batch_test.cpp).
+// The per-chunk encode_chunk / encode_chunk_packet / decode_packet calls
+// stay on the chunk-at-a-time forward_into / inverse_into transform: they
+// back the GdEncoder/GdDecoder adapters in gd/codec.hpp and are the
+// reference the batch path is checked against (byte-identical wire
+// payloads and statistics, tests/engine_batch_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -45,17 +42,21 @@
 namespace zipline::engine {
 
 struct EngineStats : gd::CodecStats {
-  std::uint64_t batches = 0;  ///< encode_payload / decode_batch calls
+  /// Units emitted: one per encode_payload, encode_emit, decode_batch,
+  /// decode_emit or decode_wire call, however many windows it spans. Every
+  /// Node arrangement therefore counts one per processed packet.
+  std::uint64_t batches = 0;
 };
 
-/// Caller-owned scratch for one split-phase encode unit. Vectors only ever
-/// grow, so a unit recycled across calls stops allocating once it has seen
-/// the largest payload (the same discipline as the batch arenas).
+/// Scratch for one encode unit: the caller's for the phase API, the
+/// engine's own for encode_payload. Vectors only ever grow, so a unit
+/// recycled across calls stops allocating once it has seen the largest
+/// payload (the same discipline as the batch arenas).
 struct EncodeUnit {
   std::size_t chunks = 0;  ///< valid prefix of the vectors below
   std::vector<gd::TransformedChunk> transformed;
   std::vector<gd::PacketType> types;
-  std::vector<std::uint32_t> ids;  ///< identifier per compressed chunk
+  std::vector<std::uint32_t> ids;  ///< identifier; BatchOp::kNoId on a miss
   /// Shared-dictionary engines precompute each basis's content hash here
   /// during the (concurrent) transform phase, so the sequenced resolve
   /// phase spends no time hashing inside its critical section.
@@ -63,7 +64,7 @@ struct EncodeUnit {
   std::span<const std::uint8_t> tail{};
 };
 
-/// Caller-owned scratch for one split-phase decode unit.
+/// Scratch for one decode unit (see EncodeUnit).
 struct DecodeUnit {
   std::size_t packets = 0;  ///< valid prefix of the vectors below
   std::vector<gd::PacketType> types;
@@ -79,6 +80,11 @@ struct DecodeUnit {
 
 class Engine {
  public:
+  /// Rows of the engine-owned unit: encode_payload stages at most this
+  /// many chunks, decode_batch this many wire packets, per window, so the
+  /// unit scratch stays bounded however large the payload.
+  static constexpr std::size_t kWindowChunks = 256;
+
   /// Private-dictionary engine. `learn` plays the role of learn_on_miss on
   /// the encode side and learn_on_uncompressed on the decode side; an
   /// Engine instance serves one direction, mirroring the codec's
@@ -100,21 +106,22 @@ class Engine {
 
   // --- encode side ------------------------------------------------------
 
-  /// Encodes one chunk of exactly params().chunk_bits bits, appending the
-  /// descriptor + serialized wire payload to `out`. Allocation-free in
-  /// steady state.
-  void encode_chunk(const bits::BitVector& chunk, EncodeBatch& out);
-
   /// Encodes a byte payload: full chunks become GD packets, a trailing
   /// partial chunk becomes one raw packet. Appends to `out` (callers clear
-  /// the batch between payloads to reuse its arena).
+  /// the batch between payloads to reuse its arena). Runs the three phases
+  /// below over the engine-owned unit, one window at a time.
   void encode_payload(std::span<const std::uint8_t> payload, EncodeBatch& out);
+
+  /// Per-chunk reference: encodes one chunk of exactly params().chunk_bits
+  /// bits through forward_into, appending the descriptor + serialized wire
+  /// payload to `out`. Allocation-free in steady state.
+  void encode_chunk(const bits::BitVector& chunk, EncodeBatch& out);
 
   /// Per-chunk adapter path: same dictionary/stats transition as
   /// encode_chunk, materialized as an owning GdPacket.
   [[nodiscard]] gd::GdPacket encode_chunk_packet(const bits::BitVector& chunk);
 
-  // --- encode, split-phase ----------------------------------------------
+  // --- encode phases ----------------------------------------------------
   // transform -> resolve -> emit over one payload is byte- and
   // stats-identical to encode_payload. Only `encode_resolve` touches the
   // dictionary, so it is the only phase a shared-dictionary pipeline needs
@@ -132,7 +139,7 @@ class Engine {
   /// acquisition per (unit, shard) pair; a private dictionary keeps the
   /// per-chunk loop (whose lazy single-shard path can skip hashing
   /// entirely on prefiltered misses). Both produce identical types, ids
-  /// and statistics.
+  /// and statistics. Identifiers of misses are gd::BatchOp::kNoId.
   void encode_resolve(EncodeUnit& unit);
 
   /// Phase 3 (pure): serialize the classified unit (and raw tail) into the
@@ -144,17 +151,20 @@ class Engine {
   /// Decodes one wire payload of the given type, appending the recovered
   /// chunk (or pass-through raw bytes) to `out`. For types 2/3 only the
   /// leading type{2,3}_payload_bytes() of `payload` are consumed, so frame
-  /// padding behind the packet is ignored. Allocation-free in steady state.
+  /// padding behind the packet is ignored. A one-row unit through the
+  /// three phases below; allocation-free in steady state.
   void decode_wire(gd::PacketType type, std::span<const std::uint8_t> payload,
                    DecodeBatch& out);
 
-  /// Decodes every packet of an encoded batch.
+  /// Decodes every packet of an encoded batch: the three phases below over
+  /// the engine-owned unit, one window at a time.
   void decode_batch(const EncodeBatch& in, DecodeBatch& out);
 
-  /// Per-chunk adapter path: decodes one parsed packet to chunk bits.
+  /// Per-chunk reference: decodes one parsed packet to chunk bits through
+  /// inverse_into (the GdDecoder adapter path).
   [[nodiscard]] bits::BitVector decode_packet(const gd::GdPacket& packet);
 
-  // --- decode, split-phase ----------------------------------------------
+  // --- decode phases ----------------------------------------------------
   // parse -> resolve -> emit over one encoded batch is byte- and
   // stats-identical to decode_batch; only decode_resolve touches the
   // dictionary. The input batch must stay valid through decode_emit (raw
@@ -186,7 +196,9 @@ class Engine {
   void encode_resolve_plan(EncodeUnit& unit);
   /// Consumes the executed plan: types / ids / statistics (pure).
   void encode_resolve_finish(EncodeUnit& unit);
-  /// Decode-side plan/finish mirror.
+  /// Decode-side plan/finish mirror. finish checks the plan's fetches and
+  /// accounts the unit; the private-dictionary decode_resolve ends in it
+  /// too (its plan is empty).
   void decode_resolve_plan(DecodeUnit& unit);
   void decode_resolve_finish(DecodeUnit& unit);
 
@@ -228,45 +240,63 @@ class Engine {
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Shared encode transition: transform the chunk into scratch_, consult /
-  /// teach the dictionary, update stats. Returns the resulting wire type;
-  /// for type 3 the identifier is left in scratch_id_.
+  /// Per-chunk reference transition: forward_into the chunk into scratch_,
+  /// consult / teach the dictionary, account. Returns the wire type; the
+  /// identifier (kNoId on a miss) is left in scratch_id_.
   gd::PacketType encode_step(const bits::BitVector& chunk);
 
-  /// Dictionary half of encode_step, shared with encode_resolve: consults /
-  /// teaches the dictionary for one transformed chunk and updates stats;
-  /// `id` receives the identifier on a hit.
-  gd::PacketType classify(const gd::TransformedChunk& transformed,
-                          std::uint32_t& id);
+  /// Encode-side accounting of one resolved chunk, shared by the
+  /// per-chunk reference and both resolve paths: `id` is the dictionary's
+  /// answer (gd::BatchOp::kNoId on a miss). Returns the wire type.
+  gd::PacketType account_chunk(std::uint32_t id);
+
+  /// Decode-side accounting of one wire packet (`raw_bytes` counts only
+  /// for raw packets), shared by the per-chunk reference and
+  /// decode_resolve_finish.
+  void account_packet(gd::PacketType type, std::size_t raw_bytes);
 
   /// Serializes one classified chunk into the batch arena — the single
   /// place that knows the wire field order, shared by encode_chunk and
-  /// encode_emit.
+  /// the unit emit.
   void emit_chunk(const gd::TransformedChunk& transformed, gd::PacketType type,
                   std::uint32_t id, EncodeBatch& out);
 
-  /// Type 2/3 decode transition shared by both single-pass decode paths;
-  /// leaves the recovered chunk in chunk_scratch_.
-  void decode_step(gd::PacketType type, std::uint32_t syndrome);
+  /// Parses one wire payload into row `row` of `unit` — the single place
+  /// that knows the wire field order on the decode side.
+  void parse_packet(gd::PacketType type, std::span<const std::uint8_t> payload,
+                    DecodeUnit& unit, std::size_t row);
+  /// decode_parse over packets [first, first + count) of `in`.
+  void parse_window(const EncodeBatch& in, std::size_t first,
+                    std::size_t count, DecodeUnit& unit);
+
+  /// The emit phases without the unit count: encode_payload and
+  /// decode_batch emit one window at a time but count one unit per call.
+  void emit_encoded(const EncodeUnit& unit, EncodeBatch& out);
+  void emit_decoded(const DecodeUnit& unit, DecodeBatch& out);
 
   gd::GdTransform transform_;
   gd::DictionaryHandle dictionary_;
   bool learn_;
   EngineStats stats_;
 
-  // Scratch state reused across calls (the allocation-free core).
+  /// The unit encode_payload / decode_batch / decode_wire stage through.
+  EncodeUnit encode_unit_;
+  DecodeUnit decode_unit_;
+  // Per-chunk reference scratch (encode_step / decode_packet).
   gd::TransformedChunk scratch_;
   std::uint32_t scratch_id_ = 0;
   bits::BitVector word_scratch_;
+  bits::BitVector basis_scratch_;
+  /// Chunk stager of the decode emit (and decode_packet's result).
   bits::BitVector chunk_scratch_;
-  bits::BitVector basis_scratch_;  ///< shared-mode copy of a fetched basis
   bits::BitWriter writer_;
   /// Batched-resolve staging (shared mode): built and consumed inside one
-  /// resolve call; grow-only, like every other scratch.
+  /// resolve call; grow-only, like every other scratch. Always empty on a
+  /// private dictionary.
   std::vector<gd::BatchOp> batch_ops_;
   gd::BatchScratch batch_scratch_;
-  /// Word-plane scratch of the block transform fast path: a whole unit's
-  /// chunks canonicalize/expand as one kernel batch in encode_transform /
+  /// Word-plane scratch of the block transform: a unit's chunks
+  /// canonicalize/expand as one kernel batch in encode_transform /
   /// decode_emit (see src/engine/README.md, "transform fast path").
   gd::TransformBlockScratch block_scratch_;
 };

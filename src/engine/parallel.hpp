@@ -19,10 +19,9 @@
 //     seqlock reads by default — ParallelOptions::read_path), the
 //     paper's one-table-per-direction switch reality: flows deduplicate
 //     against each other and dictionary memory no longer scales with
-//     workers or flows. Each worker splits its unit into transform ->
-//     resolve -> emit phases (engine/engine.hpp) and only the resolve
-//     (dictionary) phases are sequenced — PER SHARD, via per-shard
-//     turnstiles — while transforms and serialization run concurrently.
+//     workers or flows. Only the resolve (dictionary) phases are
+//     sequenced — PER SHARD, via per-shard turnstiles — while transforms
+//     and serialization run concurrently.
 //     Each resolve gathers its unit's dictionary operations into one
 //     batched plan (gd::BatchOp) grouped by shard, and basis hashing
 //     happens in the concurrent transform/parse phase, so each gate's
@@ -32,6 +31,10 @@
 //     byte-identical to the serial engine and replayable by any decoder
 //     (tests/flow_steering_test.cpp and tests/shard_turnstile_test.cpp
 //     assert both, under Zipf-skewed flows).
+//
+// Either way a worker runs its unit as the engine's transform -> resolve
+// -> emit phases (engine/engine.hpp) on the job slot's unit scratch; the
+// ownership mode only decides whether the resolve waits its turn.
 //
 // Per-shard turnstile admission (shared mode): admission is two phase.
 // After its (concurrent) transform+plan a unit passes a short
@@ -89,7 +92,7 @@
 // worker holding the next expected unit, whose head is that unit.
 //
 // Memory discipline matches the engine core: job slots (with their batch
-// arenas and split-phase scratch) are fixed at construction and recycled
+// arenas and unit scratch) are fixed at construction and recycled
 // through the rings, so in steady state a submit/flush cycle performs zero
 // heap allocations on any thread (tests/engine_alloc_test.cpp asserts it
 // for both ownership modes).
@@ -185,10 +188,6 @@ struct EncodeStage {
   using Input = std::span<const std::uint8_t>;
   using Output = EncodeBatch;
   using Scratch = EncodeUnit;
-  static void run(Engine& engine, const Input& in, Output& out) {
-    out.clear();
-    engine.encode_payload(in, out);
-  }
   static void transform(Engine& engine, const Input& in, Scratch& scratch) {
     engine.encode_transform(in, scratch);
   }
@@ -203,8 +202,7 @@ struct EncodeStage {
   static void finish(Engine& engine, Scratch& scratch) {
     engine.encode_resolve_finish(scratch);
   }
-  static void emit(Engine& engine, const Scratch& scratch, const Input&,
-                   Output& out) {
+  static void emit(Engine& engine, const Scratch& scratch, Output& out) {
     out.clear();
     engine.encode_emit(scratch, out);
   }
@@ -216,10 +214,6 @@ struct DecodeStage {
   using Input = const EncodeBatch*;
   using Output = DecodeBatch;
   using Scratch = DecodeUnit;
-  static void run(Engine& engine, const Input& in, Output& out) {
-    out.clear();
-    engine.decode_batch(*in, out);
-  }
   static void transform(Engine& engine, const Input& in, Scratch& scratch) {
     engine.decode_parse(*in, scratch);
   }
@@ -232,8 +226,7 @@ struct DecodeStage {
   static void finish(Engine& engine, Scratch& scratch) {
     engine.decode_resolve_finish(scratch);
   }
-  static void emit(Engine& engine, const Scratch& scratch, const Input&,
-                   Output& out) {
+  static void emit(Engine& engine, const Scratch& scratch, Output& out) {
     out.clear();
     engine.decode_emit(scratch, out);
   }
@@ -313,7 +306,7 @@ class ParallelPipeline {
     std::uint32_t flow = 0;
     typename Stage::Input input{};
     typename Stage::Output output;
-    typename Stage::Scratch scratch;  ///< split-phase staging (shared mode)
+    typename Stage::Scratch scratch;  ///< the unit's phase staging
     /// Per-shard admission tickets taken at registration (shared mode;
     /// sized to dictionary_shards at construction) and the unit's
     /// touched-shard list (grow-free: reserved to dictionary_shards).
@@ -496,11 +489,16 @@ void ParallelPipeline<Stage>::run_private(Worker& self, Job& job) {
     // One private engine per flow: created on the flow's first unit
     // (warmup), found allocation-free afterwards. A per_flow job only
     // ever runs on its flow's sticky worker, so the flow's engine lives
-    // here.
+    // here, and the unit runs transform -> resolve -> emit back to back
+    // on the slot's scratch: a private dictionary needs none of
+    // run_shared's turnstiles.
     const auto [it, inserted] =
         self.engines.try_emplace(job.flow, params_, options_.policy,
                                  options_.learn, options_.dictionary_shards);
-    Stage::run(it->second, job.input, job.output);
+    Engine& engine = it->second;
+    Stage::transform(engine, job.input, job.scratch);
+    Stage::resolve(engine, job.scratch);
+    Stage::emit(engine, job.scratch, job.output);
   } catch (...) {
     // Never let a stage failure (e.g. a contract violation on hostile
     // input) escape the thread and terminate the process; flush()
@@ -581,7 +579,7 @@ void ParallelPipeline<Stage>::run_shared(Worker& self, Job& job) {
   if (!job.error) {
     try {
       Stage::finish(engine, job.scratch);
-      Stage::emit(engine, job.scratch, job.input, job.output);
+      Stage::emit(engine, job.scratch, job.output);
     } catch (...) {
       job.error = std::current_exception();
     }

@@ -246,9 +246,10 @@ void stage_records(const ParsedContainer& parsed, engine::EncodeBatch& batch) {
 /// Worker-side stage for parallel decompression: the full container —
 /// structural scan, CRC check, record staging, decode — is one unit of
 /// work, so nothing but the fixed header check runs on the caller thread.
-/// Validation failures throw here and surface at flush(). The split-phase
-/// hooks let the shared-dictionary mode sequence only the dictionary
-/// (resolve) half while parsing and inverse transforms run concurrently.
+/// Validation failures throw in transform and surface at flush(). Like
+/// the engine's own stages it runs transform -> resolve -> emit, so the
+/// shared-dictionary mode sequences only the dictionary (resolve) half
+/// while parsing and inverse transforms run concurrently.
 struct ContainerDecodeStage {
   using Input = std::span<const std::uint8_t>;
   using Output = engine::DecodeBatch;
@@ -256,14 +257,6 @@ struct ContainerDecodeStage {
     engine::EncodeBatch staged;
     engine::DecodeUnit unit;
   };
-  static void run(engine::Engine& eng, const Input& in, Output& out) {
-    // Per-worker-thread staging arena, reused across containers.
-    thread_local engine::EncodeBatch staged;
-    staged.clear();
-    stage_records(parse_container(in), staged);
-    out.clear();
-    eng.decode_batch(staged, out);
-  }
   static void transform(engine::Engine& eng, const Input& in,
                         Scratch& scratch) {
     scratch.staged.clear();
@@ -279,8 +272,7 @@ struct ContainerDecodeStage {
   static void finish(engine::Engine& eng, Scratch& scratch) {
     eng.decode_resolve_finish(scratch.unit);
   }
-  static void emit(engine::Engine& eng, const Scratch& scratch, const Input&,
-                   Output& out) {
+  static void emit(engine::Engine& eng, const Scratch& scratch, Output& out) {
     out.clear();
     eng.decode_emit(scratch.unit, out);
   }

@@ -7,6 +7,7 @@
 // the counter does not move across many full batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -128,6 +129,45 @@ TEST(EngineAllocation, Batch64DecodeSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocation_count(), before)
       << "steady-state batch decode must not touch the heap";
   EXPECT_EQ(decoded.bytes().size(), payload.size());
+}
+
+// The engine stages a batch through its own unit one window at a time, so
+// the unit scratch is sized by the window, not the payload: once a
+// window-sized payload has warmed it, a payload sixteen windows long
+// allocates nothing (the output arenas are reserved up front, and the
+// long payload repeats the warmup window so every basis is already known).
+TEST(EngineAllocation, UnitScratchIsBoundedByTheWindow) {
+  const gd::GdParams params;
+  Rng rng(0x817D0);
+  const auto window =
+      random_payload(rng, Engine::kWindowChunks * params.raw_payload_bytes());
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < 16; ++i) {
+    payload.insert(payload.end(), window.begin(), window.end());
+  }
+
+  Engine encoder{params};
+  Engine decoder{params};
+  EncodeBatch warm_encoded;
+  encoder.encode_payload(window, warm_encoded);
+  DecodeBatch decoded;
+  decoder.decode_batch(warm_encoded, decoded);
+
+  EncodeBatch encoded;
+  encoded.reserve(payload.size() / params.raw_payload_bytes(),
+                  payload.size());
+  decoded.clear();
+  decoded.reserve(payload.size() / params.raw_payload_bytes(),
+                  payload.size());
+
+  const std::uint64_t before = allocation_count();
+  encoder.encode_payload(payload, encoded);
+  decoder.decode_batch(encoded, decoded);
+  EXPECT_EQ(allocation_count(), before)
+      << "a payload longer than the window must reuse the window's scratch";
+  ASSERT_EQ(decoded.bytes().size(), payload.size());
+  EXPECT_TRUE(std::equal(decoded.bytes().begin(), decoded.bytes().end(),
+                         payload.begin()));
 }
 
 // The worker pool inherits the engine's discipline: job slots, rings and

@@ -58,8 +58,9 @@ class BatchProperty
 };
 
 // The acceptance property: random payloads, all three eviction policies,
-// batch sizes 1/7/64 — batch results byte-identical to the per-chunk
-// adapter, and decode restores the exact input.
+// batch sizes 1/7/64 and one chunk past three unit windows — batch
+// results byte-identical to the per-chunk adapter, and decode restores
+// the exact input.
 TEST_P(BatchProperty, ByteIdenticalToAdapterAndLossless) {
   const auto [policy, batch_chunks] = GetParam();
   GdParams params;
@@ -120,6 +121,11 @@ TEST_P(BatchProperty, ByteIdenticalToAdapterAndLossless) {
     // And so does the adapter decoder fed the adapter packets (mirrored
     // dictionaries stay in sync across both representations).
     EXPECT_EQ(adapter_decoder.decode_payload(adapter_packets), payload);
+
+    // One unit per call, however many windows the payload spans.
+    const auto calls = static_cast<std::uint64_t>(round) + 1;
+    EXPECT_EQ(batch_encoder.stats().batches, calls);
+    EXPECT_EQ(batch_decoder.stats().batches, calls);
   }
 }
 
@@ -129,11 +135,22 @@ INSTANTIATE_TEST_SUITE_P(
                                          EvictionPolicy::fifo,
                                          EvictionPolicy::random),
                        ::testing::Values(std::size_t{1}, std::size_t{7},
-                                         std::size_t{64})));
+                                         std::size_t{64},
+                                         // crosses the unit window
+                                         3 * Engine::kWindowChunks + 1)));
 
-// The split-phase path (transform -> resolve -> emit, the shared-
-// dictionary pipeline's shape) must compose to the exact bytes and stats
-// of the single-pass encode_payload / decode_batch, for both directions.
+void expect_same_stats(const gd::CodecStats& got, const gd::CodecStats& want) {
+  EXPECT_EQ(got.chunks, want.chunks);
+  EXPECT_EQ(got.raw_packets, want.raw_packets);
+  EXPECT_EQ(got.uncompressed_packets, want.uncompressed_packets);
+  EXPECT_EQ(got.compressed_packets, want.compressed_packets);
+  EXPECT_EQ(got.bytes_in, want.bytes_in);
+  EXPECT_EQ(got.bytes_out, want.bytes_out);
+}
+
+// The public phases (transform -> resolve -> emit, the shape every batch
+// runs) must compose to the exact bytes and stats of the per-chunk
+// GdEncoder / GdDecoder reference, raw tail included, in both directions.
 TEST(EngineSplitPhase, ComposesToSinglePassBytesAndStats) {
   GdParams params;
   params.id_bits = 5;  // evictions under load
@@ -143,50 +160,43 @@ TEST(EngineSplitPhase, ComposesToSinglePassBytesAndStats) {
   std::vector<std::uint8_t> ragged = payload;
   ragged.resize(ragged.size() + 7, 0xAB);  // raw tail
 
-  Engine single{params};
-  Engine split{params};
-  EncodeBatch single_batch;
-  single.encode_payload(ragged, single_batch);
+  gd::GdEncoder reference{params};
+  const auto packets = reference.encode_payload(ragged);
 
+  Engine split{params};
   EncodeUnit unit;
   EncodeBatch split_batch;
   split.encode_transform(ragged, unit);
   split.encode_resolve(unit);
   split.encode_emit(unit, split_batch);
 
-  ASSERT_EQ(split_batch.size(), single_batch.size());
-  for (std::size_t i = 0; i < single_batch.size(); ++i) {
-    EXPECT_EQ(split_batch.packet(i).type, single_batch.packet(i).type);
-    const auto a = single_batch.payload(i);
-    const auto b = split_batch.payload(i);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+  ASSERT_EQ(split_batch.size(), packets.size());
+  EXPECT_EQ(split_batch.packets().back().type, PacketType::raw);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    EXPECT_EQ(split_batch.packet(i).type, packets[i].type);
+    const auto want = packets[i].serialize(params);
+    const auto got = split_batch.payload(i);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "packet " << i;
   }
-  EXPECT_EQ(split.stats().chunks, single.stats().chunks);
-  EXPECT_EQ(split.stats().compressed_packets,
-            single.stats().compressed_packets);
-  EXPECT_EQ(split.stats().bytes_out, single.stats().bytes_out);
-  EXPECT_EQ(split.stats().batches, single.stats().batches);
+  expect_same_stats(split.stats(), reference.stats());
+  EXPECT_EQ(split.stats().batches, 1u);
 
-  // Decode side: parse -> resolve -> emit equals decode_batch.
-  Engine dec_single{params};
+  // Decode side: parse -> resolve -> emit equals the GdDecoder reference.
+  gd::GdDecoder dec_reference{params};
+  EXPECT_EQ(dec_reference.decode_payload(packets), ragged);
+
   Engine dec_split{params};
-  DecodeBatch out_single;
-  dec_single.decode_batch(single_batch, out_single);
-
   DecodeUnit dunit;
   DecodeBatch out_split;
   dec_split.decode_parse(split_batch, dunit);
   dec_split.decode_resolve(dunit);
   dec_split.decode_emit(dunit, out_split);
 
-  const auto x = out_single.bytes();
   const auto y = out_split.bytes();
-  ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()));
   EXPECT_EQ(std::vector<std::uint8_t>(y.begin(), y.end()), ragged);
-  EXPECT_EQ(dec_split.stats().uncompressed_packets,
-            dec_single.stats().uncompressed_packets);
-  EXPECT_EQ(dec_split.stats().bytes_in, dec_single.stats().bytes_in);
+  expect_same_stats(dec_split.stats(), dec_reference.stats());
+  EXPECT_EQ(dec_split.stats().batches, 1u);
 }
 
 TEST(EncodeBatch, ClearKeepsCapacity) {

@@ -113,6 +113,17 @@ NodeOptions base_options(DictionaryOwnership ownership, EvictionPolicy policy,
   return options;
 }
 
+void expect_same_engine_stats(const engine::EngineStats& got,
+                              const engine::EngineStats& want) {
+  EXPECT_EQ(got.chunks, want.chunks);
+  EXPECT_EQ(got.raw_packets, want.raw_packets);
+  EXPECT_EQ(got.uncompressed_packets, want.uncompressed_packets);
+  EXPECT_EQ(got.compressed_packets, want.compressed_packets);
+  EXPECT_EQ(got.bytes_in, want.bytes_in);
+  EXPECT_EQ(got.bytes_out, want.bytes_out);
+  EXPECT_EQ(got.batches, want.batches);
+}
+
 class BackendRoundTrip
     : public ::testing::TestWithParam<
           std::tuple<DictionaryOwnership, EvictionPolicy, std::size_t>> {};
@@ -152,13 +163,14 @@ TEST_P(BackendRoundTrip, RingNodeRingNodeRecoversPayloads) {
   // one private engine per flow; shared: ONE engine in submission order
   // — the two pre-redesign serial arrangements).
   std::vector<Burst> reference(workload.size());
-  {
-    Node serial(base_options(ownership, policy, /*workers=*/1, params)
-                    .with_direction(Direction::encode));
-    for (std::size_t b = 0; b < workload.size(); ++b) {
-      serial.process(workload[b], reference[b]);
-    }
+  Node serial(base_options(ownership, policy, /*workers=*/1, params)
+                  .with_direction(Direction::encode));
+  for (std::size_t b = 0; b < workload.size(); ++b) {
+    serial.process(workload[b], reference[b]);
   }
+  // Every arrangement accounts the same traffic identically: each
+  // processed packet is one emitted unit, whichever engine emitted it.
+  expect_same_engine_stats(encoder.stats().engine, serial.stats().engine);
 
   // Decode back through the mirrored arrangement and compare.
   MemoryRing decoded_ring(workload.size());
@@ -171,6 +183,14 @@ TEST_P(BackendRoundTrip, RingNodeRingNodeRecoversPayloads) {
     runner.run(source, decoder, sink);
     EXPECT_EQ(sink.dropped_bursts(), 0u);
   }
+  Node serial_decoder(base_options(ownership, policy, /*workers=*/1, params)
+                          .with_direction(Direction::decode));
+  for (const Burst& burst : reference) {
+    Burst restored;
+    serial_decoder.process(burst, restored);
+  }
+  expect_same_engine_stats(decoder.stats().engine,
+                           serial_decoder.stats().engine);
 
   // A multi-chunk payload fans out into several wire packets (chunks +
   // raw tail), each of which decodes to its own packet — packet counts
