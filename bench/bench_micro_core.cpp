@@ -64,7 +64,7 @@ BENCHMARK(BM_SyndromeCrcSlow255);
 
 // --- bit packing ----------------------------------------------------------
 // The engine's serialization inner loop, isolated: per chunk the exact
-// type-2 field script emit_chunk runs — m-bit syndrome, 1-bit excess,
+// type-2 field script serialize_chunk runs — m-bit syndrome, 1-bit excess,
 // 247-bit basis, byte alignment — over 64 chunks per iteration. This is
 // the word-level accumulator path; BM_BitWriterPackByteLoop below is the
 // frozen pre-PR byte-at-a-time reference, so the speedup is visible
@@ -335,10 +335,12 @@ void BM_TransformForwardBlock(benchmark::State& state) {
   Rng rng(11);
   std::vector<std::uint8_t> payload(count * 32);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<const std::uint8_t*> rows(count);
+  for (std::size_t c = 0; c < count; ++c) rows[c] = payload.data() + c * 32;
   std::vector<gd::TransformedChunk> out(count);
   gd::TransformBlockScratch scratch;
   for (auto _ : state) {
-    transform.forward_block(payload, count, out, scratch);
+    transform.forward_block(rows, out, scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -974,6 +976,49 @@ void BM_NodeEncodeBurstShared(benchmark::State& state) {
   state.SetBytesProcessed(bytes);
 }
 BENCHMARK(BM_NodeEncodeBurstShared)->Arg(1)->Arg(2)->Arg(4);
+
+// The sensor shape: a burst of 256 one-chunk (32-B) packets from the
+// synthetic sensor trace through a serial shared-dictionary node, encode
+// (decode=0) or decode (decode=1). The node runs the whole burst as one
+// engine unit, so this prices the per-packet io + engine cost the
+// perfbench `sensor` workload sees, without its trace walk.
+void BM_NodeSmallPacketBurst(benchmark::State& state) {
+  const gd::GdParams params;
+  const bool decode = state.range(0) != 0;
+  constexpr std::size_t kPackets = 256;
+  trace::SyntheticSensorConfig config;
+  config.chunk_count = kPackets;
+  const auto payloads = trace::generate_synthetic_sensor(config);
+  io::Burst raw;
+  for (const auto& payload : payloads) {
+    raw.append(gd::PacketType::raw, 0, 0, payload, io::PacketMeta{});
+  }
+  const auto options = io::NodeOptions{}.with_params(params).with_shared_dictionary();
+  io::Node encoder(io::NodeOptions(options).with_direction(io::Direction::encode));
+  io::Node decoder(io::NodeOptions(options).with_direction(io::Direction::decode));
+  io::Burst wire;
+  io::Burst restored;
+  // Warm both dictionaries: the measured burst is all hits on encode
+  // (type 3 on the wire), the 99.9% case of the sensor trace.
+  encoder.process(raw, wire);
+  decoder.process(wire, restored);
+  wire.clear();
+  encoder.process(raw, wire);
+  io::Node& node = decode ? decoder : encoder;
+  const io::Burst& in = decode ? wire : raw;
+  io::Burst out;
+  for (auto _ : state) {
+    out.clear();
+    node.process(in, out);
+    benchmark::DoNotOptimize(out.payload(0).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPackets));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPackets) *
+                          static_cast<std::int64_t>(params.raw_payload_bytes()));
+}
+BENCHMARK(BM_NodeSmallPacketBurst)->ArgName("decode")->Arg(0)->Arg(1);
 
 void BM_DeflateSensorTrace(benchmark::State& state) {
   trace::SyntheticSensorConfig config;

@@ -18,21 +18,11 @@ void EncodeBatch::append(gd::PacketType type, std::uint32_t syndrome,
   packets_.push_back(desc);
 }
 
-void DecodeBatch::append_chunk(gd::PacketType from_type,
-                               const bits::BitVector& chunk) {
-  ZL_EXPECTS(bytes_.size() + (chunk.size() + 7) / 8 <= 0xFFFFFFFFu);
-  ChunkDesc desc;
-  desc.from_type = from_type;
-  desc.offset = static_cast<std::uint32_t>(bytes_.size());
-  chunk.append_bytes_to(bytes_);
-  desc.size = static_cast<std::uint32_t>(bytes_.size()) - desc.offset;
-  chunks_.push_back(desc);
-}
-
-void DecodeBatch::append_raw(std::span<const std::uint8_t> bytes) {
+void DecodeBatch::append(gd::PacketType from_type,
+                         std::span<const std::uint8_t> bytes) {
   ZL_EXPECTS(bytes_.size() + bytes.size() <= 0xFFFFFFFFu);
   ChunkDesc desc;
-  desc.from_type = gd::PacketType::raw;
+  desc.from_type = from_type;
   desc.offset = static_cast<std::uint32_t>(bytes_.size());
   desc.size = static_cast<std::uint32_t>(bytes.size());
   bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/bitvector.hpp"
 #include "gd/packet.hpp"
 
 namespace zipline::engine {
@@ -121,11 +120,9 @@ class DecodeBatch {
     return out;
   }
 
-  /// Appends a decoded chunk's bits (MSB-first byte serialization).
-  void append_chunk(gd::PacketType from_type, const bits::BitVector& chunk);
-
-  /// Appends pass-through raw bytes (type-1 packets / tails).
-  void append_raw(std::span<const std::uint8_t> bytes);
+  /// Appends one recovered chunk's bytes (or pass-through raw bytes:
+  /// type-1 packets / tails, from_type raw).
+  void append(gd::PacketType from_type, std::span<const std::uint8_t> bytes);
 
  private:
   std::vector<std::uint8_t> bytes_;

@@ -1,6 +1,8 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -78,12 +80,14 @@ gd::PacketType Engine::encode_step(const bits::BitVector& chunk) {
   return account_chunk(scratch_id_);
 }
 
-void Engine::emit_chunk(const gd::TransformedChunk& transformed,
-                        gd::PacketType type, std::uint32_t id,
-                        EncodeBatch& out) {
+PacketDesc Engine::serialize_chunk(const gd::TransformedChunk& transformed,
+                                   gd::PacketType type, std::uint32_t id) {
   const gd::GdParams& p = params();
   // Field order mirrors GdPacket::serialize exactly, so the batch path and
   // the per-chunk adapter stay byte-identical.
+  PacketDesc desc;
+  desc.type = type;
+  desc.syndrome = transformed.syndrome;
   writer_.reset();
   writer_.write_uint(transformed.syndrome, static_cast<std::size_t>(p.m));
   writer_.write_bits(transformed.excess);
@@ -94,64 +98,87 @@ void Engine::emit_chunk(const gd::TransformedChunk& transformed,
       writer_.write_padding(p.type2_extra_pad_bits);
       writer_.align_to_byte();
     }
-    out.append(type, transformed.syndrome, 0, writer_.bytes());
   } else {
     writer_.write_uint(id, p.id_bits);
     writer_.align_to_byte();
-    out.append(type, transformed.syndrome, id, writer_.bytes());
+    desc.basis_id = id;
   }
+  desc.size = static_cast<std::uint32_t>(writer_.bytes().size());
+  return desc;
 }
 
 void Engine::encode_chunk(const bits::BitVector& chunk, EncodeBatch& out) {
   const gd::PacketType type = encode_step(chunk);
-  emit_chunk(scratch_, type, scratch_id_, out);
+  const PacketDesc desc = serialize_chunk(scratch_, type, scratch_id_);
+  out.append(desc.type, desc.syndrome, desc.basis_id, writer_.bytes());
 }
 
 void Engine::encode_payload(std::span<const std::uint8_t> payload,
                             EncodeBatch& out) {
-  // Full windows carry no tail; the last (possibly chunkless) window
-  // carries the raw tail, so the loop runs at least once.
-  const std::size_t window = kWindowChunks * (params().chunk_bits / 8);
-  std::size_t offset = 0;
-  do {
-    const auto part =
-        payload.subspan(offset, std::min(window, payload.size() - offset));
-    offset += part.size();
-    encode_transform(part, encode_unit_);
-    encode_resolve(encode_unit_);
-    emit_encoded(encode_unit_, out);
-  } while (offset < payload.size());
-  ++stats_.batches;
+  bool pending = true;
+  encode_packets(
+      [&](std::span<const std::uint8_t>& next) {
+        next = payload;
+        return std::exchange(pending, false);
+      },
+      EncodeBatchSink{&out});
 }
 
-void Engine::encode_transform(std::span<const std::uint8_t> payload,
-                              EncodeUnit& unit) {
+std::span<const std::uint8_t> Engine::stage_packet(
+    EncodeUnit& unit, std::size_t index,
+    std::span<const std::uint8_t> payload, std::size_t room) {
   // Wire framing of raw chunks is byte-based; require byte-sized chunks.
   ZL_EXPECTS(params().chunk_bits % 8 == 0);
   const std::size_t chunk_bytes = params().chunk_bits / 8;
   const std::size_t full = payload.size() / chunk_bytes;
-  if (unit.transformed.size() < full) {
+  const std::size_t take = std::min(full, room);
+  const std::size_t end = unit.chunks + take;
+  if (unit.sources.size() < end) {
     // Grow-only, like the decode unit.
-    unit.transformed.resize(full);
-    unit.types.resize(full);
-    unit.ids.resize(full);
-    unit.hashes.resize(full);
+    unit.sources.resize(end);
+    unit.transformed.resize(end);
+    unit.types.resize(end);
+    unit.ids.resize(end);
+    unit.hashes.resize(end);
   }
+  for (std::size_t c = 0; c < take; ++c) {
+    unit.sources[unit.chunks + c] = payload.data() + c * chunk_bytes;
+  }
+  unit.chunks = end;
+  // The raw tail rides with the packet's LAST rows, so it is emitted
+  // right after them; a packet that continues in the next window carries
+  // none here.
+  const bool done = take == full;
+  unit.packets.push_back(
+      {index, end, done ? payload.subspan(full * chunk_bytes)
+                        : std::span<const std::uint8_t>{}});
+  return done ? std::span<const std::uint8_t>{}
+              : payload.subspan(take * chunk_bytes);
+}
+
+void Engine::transform_rows(EncodeUnit& unit) {
   // The whole unit canonicalizes as one kernel batch over the block
   // scratch's word-plane (multi-stream syndrome fold + block slice) —
   // byte-identical to forward_into per chunk.
-  transform_.forward_block(payload, full,
-                           std::span(unit.transformed.data(), full),
-                           block_scratch_);
+  transform_.forward_block(
+      std::span<const std::uint8_t* const>(unit.sources.data(), unit.chunks),
+      std::span(unit.transformed.data(), unit.chunks), block_scratch_);
   if (dictionary_.is_shared()) {
-    for (std::size_t i = 0; i < full; ++i) {
+    for (std::size_t i = 0; i < unit.chunks; ++i) {
       // Hash in the (concurrent) transform phase so the sequenced resolve
       // phase spends none of its critical section hashing.
       unit.hashes[i] = unit.transformed[i].basis.hash();
     }
   }
-  unit.chunks = full;
-  unit.tail = payload.subspan(full * chunk_bytes);
+}
+
+void Engine::encode_transform(std::span<const std::uint8_t> payload,
+                              EncodeUnit& unit) {
+  unit.chunks = 0;
+  unit.packets.clear();
+  (void)stage_packet(unit, 0, payload,
+                     std::numeric_limits<std::size_t>::max());
+  transform_rows(unit);
 }
 
 void Engine::encode_resolve(EncodeUnit& unit) {
@@ -217,18 +244,9 @@ void Engine::encode_resolve_finish(EncodeUnit& unit) {
   }
 }
 
-void Engine::emit_encoded(const EncodeUnit& unit, EncodeBatch& out) {
-  for (std::size_t i = 0; i < unit.chunks; ++i) {
-    emit_chunk(unit.transformed[i], unit.types[i], unit.ids[i], out);
-  }
-  if (!unit.tail.empty()) {
-    note_raw_tail(unit.tail.size());
-    out.append(gd::PacketType::raw, 0, 0, unit.tail);
-  }
-}
-
 void Engine::encode_emit(const EncodeUnit& unit, EncodeBatch& out) {
-  emit_encoded(unit, out);
+  EncodeBatchSink sink{&out};
+  emit_encoded(unit, sink);
   ++stats_.batches;
 }
 
@@ -246,6 +264,7 @@ gd::GdPacket Engine::encode_chunk_packet(const bits::BitVector& chunk) {
 void Engine::parse_packet(gd::PacketType type,
                           std::span<const std::uint8_t> payload,
                           DecodeUnit& unit, std::size_t row) {
+  grow(unit, row + 1);
   unit.types[row] = type;
   if (type == gd::PacketType::raw) {
     unit.raws[row] = payload;
@@ -272,38 +291,37 @@ void Engine::parse_packet(gd::PacketType type,
   }
 }
 
-void Engine::parse_window(const EncodeBatch& in, std::size_t first,
-                          std::size_t count, DecodeUnit& unit) {
-  grow(unit, count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const PacketDesc& desc = in.packet(first + i);
+void Engine::decode_parse(const EncodeBatch& in, DecodeUnit& unit) {
+  grow(unit, in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const PacketDesc& desc = in.packet(i);
     parse_packet(desc.type, in.payload(desc), unit, i);
   }
-  unit.packets = count;
-}
-
-void Engine::decode_parse(const EncodeBatch& in, DecodeUnit& unit) {
-  parse_window(in, 0, in.size(), unit);
+  unit.packets = in.size();
 }
 
 void Engine::decode_wire(gd::PacketType type,
                          std::span<const std::uint8_t> payload,
                          DecodeBatch& out) {
-  grow(decode_unit_, 1);
-  parse_packet(type, payload, decode_unit_, 0);
-  decode_unit_.packets = 1;
-  decode_resolve(decode_unit_);
-  decode_emit(decode_unit_, out);
+  bool pending = true;
+  decode_packets(
+      [&](WirePacket& wire) {
+        wire = {type, payload};
+        return std::exchange(pending, false);
+      },
+      DecodeBatchSink{&out});
 }
 
 void Engine::decode_batch(const EncodeBatch& in, DecodeBatch& out) {
-  for (std::size_t first = 0; first < in.size(); first += kWindowChunks) {
-    parse_window(in, first, std::min(kWindowChunks, in.size() - first),
-                 decode_unit_);
-    decode_resolve(decode_unit_);
-    emit_decoded(decode_unit_, out);
-  }
-  ++stats_.batches;
+  std::size_t i = 0;
+  decode_packets(
+      [&](WirePacket& wire) {
+        if (i == in.size()) return false;
+        wire = {in.packet(i).type, in.payload(i)};
+        ++i;
+        return true;
+      },
+      DecodeBatchSink{&out});
 }
 
 void Engine::decode_resolve(DecodeUnit& unit) {
@@ -366,11 +384,11 @@ void Engine::decode_resolve_finish(DecodeUnit& unit) {
   }
 }
 
-void Engine::emit_decoded(const DecodeUnit& unit, DecodeBatch& out) {
-  // Stage every non-raw packet's (basis, syndrome) into the block scratch,
-  // expand them all as one kernel batch, then emit in packet order
-  // composing each chunk from its expanded word row plus the verbatim
-  // excess. Byte-identical to inverse_into per packet.
+void Engine::expand_rows(const DecodeUnit& unit) {
+  // Stage every non-raw packet's (basis, syndrome) into the block scratch
+  // and expand them all as one kernel batch; the emit then composes each
+  // chunk from its expanded word row plus the verbatim excess, in packet
+  // order. Byte-identical to inverse_into per packet.
   transform_.inverse_block_reserve(unit.packets, block_scratch_);
   std::size_t rows = 0;
   for (std::size_t i = 0; i < unit.packets; ++i) {
@@ -379,22 +397,22 @@ void Engine::emit_decoded(const DecodeUnit& unit, DecodeBatch& out) {
                                    unit.syndromes[i]);
   }
   transform_.inverse_block_expand(block_scratch_, rows);
-  rows = 0;
-  const std::size_t n = params().n();
-  for (std::size_t i = 0; i < unit.packets; ++i) {
-    if (unit.types[i] == gd::PacketType::raw) {
-      out.append_raw(unit.raws[i]);
-      continue;
-    }
-    chunk_scratch_.assign_from_words(transform_.chunk_row(block_scratch_, rows++),
-                                     params().chunk_bits);
-    chunk_scratch_.accumulate_shifted(unit.excesses[i], n);
-    out.append_chunk(unit.types[i], chunk_scratch_);
-  }
+}
+
+std::span<const std::uint8_t> Engine::compose_chunk(const DecodeUnit& unit,
+                                                    std::size_t i,
+                                                    std::size_t row) {
+  chunk_scratch_.assign_from_words(transform_.chunk_row(block_scratch_, row),
+                                   params().chunk_bits);
+  chunk_scratch_.accumulate_shifted(unit.excesses[i], params().n());
+  chunk_bytes_.clear();
+  chunk_scratch_.append_bytes_to(chunk_bytes_);
+  return chunk_bytes_;
 }
 
 void Engine::decode_emit(const DecodeUnit& unit, DecodeBatch& out) {
-  emit_decoded(unit, out);
+  DecodeBatchSink sink{&out};
+  emit_decoded(unit, 0, sink);
   ++stats_.batches;
 }
 

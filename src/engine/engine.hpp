@@ -14,12 +14,14 @@
 // wire parse) and the emit (serialize, or inverse transform) are pure
 // per-engine work; only the resolve phase touches the dictionary. The
 // phases are public so the parallel pipeline can run transform and emit
-// concurrently across workers while sequencing only the resolves, and
-// encode_payload / decode_batch / decode_wire are the same three phases
-// over an engine-owned unit, in windows of at most kWindowChunks rows.
-// In steady state (dictionary warm, arena capacities grown) a batch
-// performs zero heap allocations — verified by tests/engine_alloc_test.cpp
-// and swept by bench_micro_core.
+// concurrently across workers while sequencing only the resolves.
+// encode_packets / decode_packets run the same three phases over an
+// engine-owned unit of MANY packets — a serial node's whole burst — in
+// windows of at most kWindowChunks rows, emitting into a UnitSink; the
+// single-payload encode_payload / decode_batch / decode_wire are their
+// one-packet (or one-batch) case. In steady state (dictionary warm, arena
+// capacities grown) a batch performs zero heap allocations — verified by
+// tests/engine_alloc_test.cpp and swept by bench_micro_core.
 //
 // The per-chunk encode_chunk / encode_chunk_packet / decode_packet calls
 // stay on the chunk-at-a-time forward_into / inverse_into transform: they
@@ -42,18 +44,31 @@
 namespace zipline::engine {
 
 struct EngineStats : gd::CodecStats {
-  /// Units emitted: one per encode_payload, encode_emit, decode_batch,
-  /// decode_emit or decode_wire call, however many windows it spans. Every
-  /// Node arrangement therefore counts one per processed packet.
+  /// Units emitted: one per encode_packets, decode_packets, encode_payload,
+  /// encode_emit, decode_batch, decode_emit or decode_wire call, however
+  /// many windows it spans. A serial Node therefore counts one per engine
+  /// per burst, and the worker pool one per processed packet.
   std::uint64_t batches = 0;
 };
 
+/// One packet of a multi-packet encode unit: the unit rows it owns end at
+/// `end_row` (they start where the previous packet's end), and its raw
+/// tail, if any, is emitted right after them.
+struct UnitPacket {
+  std::size_t index = 0;  ///< the packet's position in the unit's input
+  std::size_t end_row = 0;
+  std::span<const std::uint8_t> tail{};
+};
+
 /// Scratch for one encode unit: the caller's for the phase API, the
-/// engine's own for encode_payload. Vectors only ever grow, so a unit
+/// engine's own for encode_packets. Row vectors only ever grow, so a unit
 /// recycled across calls stops allocating once it has seen the largest
-/// payload (the same discipline as the batch arenas).
+/// window (the same discipline as the batch arenas).
 struct EncodeUnit {
-  std::size_t chunks = 0;  ///< valid prefix of the vectors below
+  std::size_t chunks = 0;  ///< rows: valid prefix of the row vectors below
+  /// Each row's chunk bytes, inside its packet's payload (the gather list
+  /// of GdTransform::forward_block).
+  std::vector<const std::uint8_t*> sources;
   std::vector<gd::TransformedChunk> transformed;
   std::vector<gd::PacketType> types;
   std::vector<std::uint32_t> ids;  ///< identifier; BatchOp::kNoId on a miss
@@ -61,10 +76,11 @@ struct EncodeUnit {
   /// during the (concurrent) transform phase, so the sequenced resolve
   /// phase spends no time hashing inside its critical section.
   std::vector<std::uint64_t> hashes;
-  std::span<const std::uint8_t> tail{};
+  /// The packets the rows belong to, in input order.
+  std::vector<UnitPacket> packets;
 };
 
-/// Scratch for one decode unit (see EncodeUnit).
+/// Scratch for one decode unit (see EncodeUnit). Row i is wire packet i.
 struct DecodeUnit {
   std::size_t packets = 0;  ///< valid prefix of the vectors below
   std::vector<gd::PacketType> types;
@@ -78,11 +94,47 @@ struct DecodeUnit {
   std::vector<std::span<const std::uint8_t>> raws;
 };
 
+/// One wire packet fed to decode_packets: a view, nothing is copied.
+struct WirePacket {
+  gd::PacketType type = gd::PacketType::raw;
+  std::span<const std::uint8_t> payload{};
+};
+
+/// Where the emit phase puts a unit's output, one packet at a time, in
+/// unit order: `packet` is the input packet it came from (its position
+/// in the unit's input), `desc` its wire type (on decode: the type the
+/// chunk arrived as) with syndrome / identifier, and `bytes` its payload,
+/// valid only for the duration of the call. The per-packet
+/// engine::PacketSink shape (sink.hpp) plus the packet index.
+template <typename S>
+concept UnitSink = requires(S sink, std::size_t packet, const PacketDesc& desc,
+                            std::span<const std::uint8_t> bytes) {
+  sink.on_packet(packet, desc, bytes);
+};
+
+/// UnitSink appending every packet to an EncodeBatch.
+struct EncodeBatchSink {
+  EncodeBatch* out;
+  void on_packet(std::size_t /*packet*/, const PacketDesc& desc,
+                 std::span<const std::uint8_t> bytes) {
+    out->append(desc.type, desc.syndrome, desc.basis_id, bytes);
+  }
+};
+
+/// UnitSink appending every recovered chunk (or raw tail) to a DecodeBatch.
+struct DecodeBatchSink {
+  DecodeBatch* out;
+  void on_packet(std::size_t /*packet*/, const PacketDesc& desc,
+                 std::span<const std::uint8_t> bytes) {
+    out->append(desc.type, bytes);
+  }
+};
+
 class Engine {
  public:
-  /// Rows of the engine-owned unit: encode_payload stages at most this
-  /// many chunks, decode_batch this many wire packets, per window, so the
-  /// unit scratch stays bounded however large the payload.
+  /// Rows of the engine-owned unit: encode_packets stages at most this
+  /// many chunks (and packets), decode_packets this many wire packets, per
+  /// window, so the unit scratch stays bounded however large the input.
   static constexpr std::size_t kWindowChunks = 256;
 
   /// Private-dictionary engine. `learn` plays the role of learn_on_miss on
@@ -106,10 +158,21 @@ class Engine {
 
   // --- encode side ------------------------------------------------------
 
-  /// Encodes a byte payload: full chunks become GD packets, a trailing
-  /// partial chunk becomes one raw packet. Appends to `out` (callers clear
-  /// the batch between payloads to reuse its arena). Runs the three phases
-  /// below over the engine-owned unit, one window at a time.
+  /// Encodes many payloads as ONE unit: `next(payload)` yields the next
+  /// payload (a span the caller keeps valid for the call) and returns
+  /// false when there are no more. Every payload's full chunks become GD
+  /// packets, its trailing partial chunk one raw packet, emitted into
+  /// `sink` tagged with the payload's position. Runs the three phases
+  /// below over the engine-owned unit, one window of at most
+  /// kWindowChunks rows at a time; rows of one window may come from many
+  /// payloads and one payload may span many windows. Byte-, stats- and
+  /// dictionary-op-identical to encoding the payloads one by one.
+  template <typename Next, UnitSink S>
+  void encode_packets(Next&& next, S&& sink);
+
+  /// Encodes one byte payload (the one-packet encode_packets), appending
+  /// to `out` (callers clear the batch between payloads to reuse its
+  /// arena).
   void encode_payload(std::span<const std::uint8_t> payload, EncodeBatch& out);
 
   /// Per-chunk reference: encodes one chunk of exactly params().chunk_bits
@@ -128,7 +191,8 @@ class Engine {
   // to sequence; transform and emit are pure per-engine work. The payload
   // memory must stay valid through encode_emit (the raw tail is a view).
 
-  /// Phase 1 (pure): chunk + forward-transform the payload into `unit`.
+  /// Phase 1 (pure): chunk + forward-transform the payload into `unit`
+  /// as a one-packet unit (every chunk, however many).
   void encode_transform(std::span<const std::uint8_t> payload,
                         EncodeUnit& unit);
 
@@ -142,22 +206,29 @@ class Engine {
   /// and statistics. Identifiers of misses are gd::BatchOp::kNoId.
   void encode_resolve(EncodeUnit& unit);
 
-  /// Phase 3 (pure): serialize the classified unit (and raw tail) into the
-  /// batch arena, mirroring encode_chunk's wire layout exactly.
+  /// Phase 3 (pure): serialize the classified unit (and raw tails) into
+  /// the batch arena, mirroring encode_chunk's wire layout exactly.
   void encode_emit(const EncodeUnit& unit, EncodeBatch& out);
 
   // --- decode side ------------------------------------------------------
 
-  /// Decodes one wire payload of the given type, appending the recovered
-  /// chunk (or pass-through raw bytes) to `out`. For types 2/3 only the
-  /// leading type{2,3}_payload_bytes() of `payload` are consumed, so frame
-  /// padding behind the packet is ignored. A one-row unit through the
-  /// three phases below; allocation-free in steady state.
+  /// Decodes many wire packets as ONE unit: `next(wire)` yields the next
+  /// packet and returns false when there are no more. Each packet's
+  /// recovered chunk (or pass-through raw bytes) is emitted into `sink`
+  /// tagged with the packet's position. For types 2/3 only the leading
+  /// type{2,3}_payload_bytes() of a payload are consumed, so frame padding
+  /// behind the packet is ignored. The three phases below over the
+  /// engine-owned unit, one window of at most kWindowChunks packets at a
+  /// time; allocation-free in steady state.
+  template <typename Next, UnitSink S>
+  void decode_packets(Next&& next, S&& sink);
+
+  /// Decodes one wire packet (the one-packet decode_packets), appending to
+  /// `out`.
   void decode_wire(gd::PacketType type, std::span<const std::uint8_t> payload,
                    DecodeBatch& out);
 
-  /// Decodes every packet of an encoded batch: the three phases below over
-  /// the engine-owned unit, one window at a time.
+  /// Decodes every packet of an encoded batch as one unit.
   void decode_batch(const EncodeBatch& in, DecodeBatch& out);
 
   /// Per-chunk reference: decodes one parsed packet to chunk bits through
@@ -255,31 +326,47 @@ class Engine {
   /// decode_resolve_finish.
   void account_packet(gd::PacketType type, std::size_t raw_bytes);
 
-  /// Serializes one classified chunk into the batch arena — the single
-  /// place that knows the wire field order, shared by encode_chunk and
-  /// the unit emit.
-  void emit_chunk(const gd::TransformedChunk& transformed, gd::PacketType type,
-                  std::uint32_t id, EncodeBatch& out);
+  /// Serializes one classified chunk into writer_ — the single place that
+  /// knows the wire field order, shared by encode_chunk and the unit emit.
+  /// Returns the packet's descriptor; its bytes are writer_.bytes().
+  PacketDesc serialize_chunk(const gd::TransformedChunk& transformed,
+                             gd::PacketType type, std::uint32_t id);
+
+  /// Stages packet `index` into `unit`: as many of `payload`'s chunks as
+  /// `room` rows allow, plus its raw tail once every chunk is staged.
+  /// Returns the part of `payload` still to stage (empty when done).
+  std::span<const std::uint8_t> stage_packet(
+      EncodeUnit& unit, std::size_t index,
+      std::span<const std::uint8_t> payload, std::size_t room);
+  /// Phase 1 over the staged rows: one forward_block gather (+ hashes).
+  void transform_rows(EncodeUnit& unit);
 
   /// Parses one wire payload into row `row` of `unit` — the single place
   /// that knows the wire field order on the decode side.
   void parse_packet(gd::PacketType type, std::span<const std::uint8_t> payload,
                     DecodeUnit& unit, std::size_t row);
-  /// decode_parse over packets [first, first + count) of `in`.
-  void parse_window(const EncodeBatch& in, std::size_t first,
-                    std::size_t count, DecodeUnit& unit);
 
-  /// The emit phases without the unit count: encode_payload and
-  /// decode_batch emit one window at a time but count one unit per call.
-  void emit_encoded(const EncodeUnit& unit, EncodeBatch& out);
-  void emit_decoded(const DecodeUnit& unit, DecodeBatch& out);
+  /// The emit phases without the unit count: the windowed entry points
+  /// emit one window at a time but count one unit per call. Decode rows
+  /// are tagged first_packet + row.
+  template <UnitSink S>
+  void emit_encoded(const EncodeUnit& unit, S& sink);
+  template <UnitSink S>
+  void emit_decoded(const DecodeUnit& unit, std::size_t first_packet,
+                    S& sink);
+  /// Decode emit halves: expand every non-raw row's word as one kernel
+  /// batch, then compose row `row`'s chunk bytes from it (plus excess).
+  void expand_rows(const DecodeUnit& unit);
+  std::span<const std::uint8_t> compose_chunk(const DecodeUnit& unit,
+                                              std::size_t i,
+                                              std::size_t row);
 
   gd::GdTransform transform_;
   gd::DictionaryHandle dictionary_;
   bool learn_;
   EngineStats stats_;
 
-  /// The unit encode_payload / decode_batch / decode_wire stage through.
+  /// The unit encode_packets / decode_packets stage through.
   EncodeUnit encode_unit_;
   DecodeUnit decode_unit_;
   // Per-chunk reference scratch (encode_step / decode_packet).
@@ -287,8 +374,10 @@ class Engine {
   std::uint32_t scratch_id_ = 0;
   bits::BitVector word_scratch_;
   bits::BitVector basis_scratch_;
-  /// Chunk stager of the decode emit (and decode_packet's result).
+  /// Chunk stager of the decode emit (and decode_packet's result), and
+  /// the emitted chunk's bytes.
   bits::BitVector chunk_scratch_;
+  std::vector<std::uint8_t> chunk_bytes_;
   bits::BitWriter writer_;
   /// Batched-resolve staging (shared mode): built and consumed inside one
   /// resolve call; grow-only, like every other scratch. Always empty on a
@@ -300,5 +389,86 @@ class Engine {
   /// decode_emit (see src/engine/README.md, "transform fast path").
   gd::TransformBlockScratch block_scratch_;
 };
+
+template <typename Next, UnitSink S>
+void Engine::encode_packets(Next&& next, S&& sink) {
+  EncodeUnit& unit = encode_unit_;
+  // Reset first: a window that threw half-way leaves nothing behind.
+  unit.chunks = 0;
+  unit.packets.clear();
+  const auto run_window = [&] {
+    transform_rows(unit);
+    encode_resolve(unit);
+    emit_encoded(unit, sink);
+    unit.chunks = 0;
+    unit.packets.clear();
+  };
+  std::span<const std::uint8_t> payload;
+  for (std::size_t index = 0; next(payload); ++index) {
+    do {
+      if (unit.chunks == kWindowChunks ||
+          unit.packets.size() == kWindowChunks) {
+        run_window();
+      }
+      payload = stage_packet(unit, index, payload, kWindowChunks - unit.chunks);
+    } while (!payload.empty());
+  }
+  if (!unit.packets.empty()) run_window();
+  ++stats_.batches;
+}
+
+template <typename Next, UnitSink S>
+void Engine::decode_packets(Next&& next, S&& sink) {
+  DecodeUnit& unit = decode_unit_;
+  unit.packets = 0;
+  std::size_t first = 0;
+  const auto run_window = [&] {
+    decode_resolve(unit);
+    emit_decoded(unit, first, sink);
+    first += unit.packets;
+    unit.packets = 0;
+  };
+  WirePacket wire;
+  while (next(wire)) {
+    if (unit.packets == kWindowChunks) run_window();
+    parse_packet(wire.type, wire.payload, unit, unit.packets++);
+  }
+  if (unit.packets != 0) run_window();
+  ++stats_.batches;
+}
+
+template <UnitSink S>
+void Engine::emit_encoded(const EncodeUnit& unit, S& sink) {
+  std::size_t row = 0;
+  for (const UnitPacket& packet : unit.packets) {
+    for (; row < packet.end_row; ++row) {
+      const PacketDesc desc = serialize_chunk(
+          unit.transformed[row], unit.types[row], unit.ids[row]);
+      sink.on_packet(packet.index, desc, writer_.bytes());
+    }
+    if (!packet.tail.empty()) {
+      note_raw_tail(packet.tail.size());
+      PacketDesc desc;
+      desc.size = static_cast<std::uint32_t>(packet.tail.size());
+      sink.on_packet(packet.index, desc, packet.tail);
+    }
+  }
+}
+
+template <UnitSink S>
+void Engine::emit_decoded(const DecodeUnit& unit, std::size_t first_packet,
+                          S& sink) {
+  expand_rows(unit);
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < unit.packets; ++i) {
+    PacketDesc desc;
+    desc.type = unit.types[i];
+    const std::span<const std::uint8_t> bytes =
+        desc.type == gd::PacketType::raw ? unit.raws[i]
+                                         : compose_chunk(unit, i, row++);
+    desc.size = static_cast<std::uint32_t>(bytes.size());
+    sink.on_packet(first_packet + i, desc, bytes);
+  }
+}
 
 }  // namespace zipline::engine

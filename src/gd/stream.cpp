@@ -213,34 +213,33 @@ ParsedContainer parse_container(std::span<const std::uint8_t> container) {
   return parsed;
 }
 
-/// Walks a validated record section, invoking `on(type, payload)` per
-/// record — the single place that knows the tag dispatch and per-type body
-/// sizes, shared by the serial decode and the parallel staging paths.
-template <typename OnRecord>
-void walk_records(Cursor& records, const GdParams& params, OnRecord&& on) {
-  for (;;) {
-    const std::uint8_t tag = records.u8();
-    if (tag == kTagEnd) return;
-    if (tag == kTagTail) {
-      on(PacketType::raw, records.bytes(records.u32()));
-      continue;
-    }
-    const auto type = static_cast<PacketType>(tag);
-    const std::size_t body_bytes = type == PacketType::uncompressed
-                                       ? params.type2_payload_bytes()
-                                       : params.type3_payload_bytes();
-    on(type, records.bytes(body_bytes));
+/// Reads the next record of a validated record section into `wire`;
+/// false at the terminator. The single place that knows the tag dispatch
+/// and per-type body sizes, shared by the serial decode and the parallel
+/// staging paths.
+bool next_record(Cursor& records, const GdParams& params,
+                 engine::WirePacket& wire) {
+  const std::uint8_t tag = records.u8();
+  if (tag == kTagEnd) return false;
+  if (tag == kTagTail) {
+    wire = {PacketType::raw, records.bytes(records.u32())};
+    return true;
   }
+  wire.type = static_cast<PacketType>(tag);
+  wire.payload = records.bytes(wire.type == PacketType::uncompressed
+                                   ? params.type2_payload_bytes()
+                                   : params.type3_payload_bytes());
+  return true;
 }
 
 /// Stages a validated record section as one EncodeBatch — the wire unit
-/// the engine (and the parallel pipeline) decodes.
+/// the parallel pipeline decodes.
 void stage_records(const ParsedContainer& parsed, engine::EncodeBatch& batch) {
   Cursor records(parsed.records);
-  walk_records(records, parsed.header.params,
-               [&](PacketType type, std::span<const std::uint8_t> payload) {
-                 batch.append(type, 0, 0, payload);
-               });
+  engine::WirePacket wire;
+  while (next_record(records, parsed.header.params, wire)) {
+    batch.append(wire.type, 0, 0, wire.payload);
+  }
 }
 
 /// Worker-side stage for parallel decompression: the full container —
@@ -353,17 +352,18 @@ std::vector<std::uint8_t> gd_stream_decompress(
   // Pass 1: structural scan + CRC check over the record section.
   const ParsedContainer parsed = parse_container(container);
 
-  // Pass 2: decode records straight into the output arena — no
-  // intermediate GdPacket vector — replaying the dictionary configuration
-  // the header records.
+  // Pass 2: decode the records as one multi-packet unit, window by
+  // window, straight into the output arena — replaying the dictionary
+  // configuration the header records.
   Cursor records(parsed.records);
   engine::Engine engine{parsed.header.params, parsed.header.policy,
                         /*learn=*/true, parsed.header.shards};
   engine::DecodeBatch out;
-  walk_records(records, parsed.header.params,
-               [&](PacketType type, std::span<const std::uint8_t> payload) {
-                 engine.decode_wire(type, payload, out);
-               });
+  engine.decode_packets(
+      [&](engine::WirePacket& wire) {
+        return next_record(records, parsed.header.params, wire);
+      },
+      engine::DecodeBatchSink{&out});
   return out.release_bytes();
 }
 

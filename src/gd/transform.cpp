@@ -87,14 +87,13 @@ void GdTransform::inverse_into(const bits::BitVector& excess,
   out.accumulate_shifted(excess, params_.n());
 }
 
-void GdTransform::forward_block(std::span<const std::uint8_t> payload,
-                                std::size_t count,
+void GdTransform::forward_block(std::span<const std::uint8_t* const> rows,
                                 std::span<TransformedChunk> out,
                                 TransformBlockScratch& scratch) const {
   ZL_EXPECTS(params_.chunk_bits % 8 == 0);
+  const std::size_t count = rows.size();
   ZL_EXPECTS(out.size() >= count);
   const std::size_t chunk_bytes = params_.chunk_bits / 8;
-  ZL_EXPECTS(payload.size() >= count * chunk_bytes);
   const std::size_t n = params_.n();
   const std::size_t cstride = chunk_plane_stride();
   const std::size_t bstride = basis_plane_stride();
@@ -111,7 +110,7 @@ void GdTransform::forward_block(std::span<const std::uint8_t> payload,
   // the row to the n-bit Hamming word.
   for (std::size_t c = 0; c < count; ++c) {
     std::uint64_t* row = scratch.chunk_plane.data() + c * cstride;
-    stage_chunk_row(row, cstride, payload.subspan(c * chunk_bytes, chunk_bytes),
+    stage_chunk_row(row, cstride, {rows[c], chunk_bytes},
                     params_.chunk_bits);
     bits::BitVector& ex = out[c].excess;
     ex.assign_zero(excess);

@@ -86,11 +86,13 @@ class GdTransform {
     return (params_.k() + 63) / 64;
   }
 
-  /// Forward-transforms `count` chunks of `payload` (chunk_bits % 8 == 0;
-  /// payload must hold count * chunk_bits/8 bytes) into out[0..count),
-  /// reusing each TransformedChunk's storage. Equivalent to
-  /// forward_into per chunk.
-  void forward_block(std::span<const std::uint8_t> payload, std::size_t count,
+  /// Forward-transforms one chunk per entry of `rows` (chunk_bits % 8 ==
+  /// 0; each pointer addresses chunk_bits/8 bytes) into
+  /// out[0..rows.size()), reusing each TransformedChunk's storage. The
+  /// rows may come from different payloads: staging is a per-row gather,
+  /// so a unit spanning many packets is still one kernel batch.
+  /// Equivalent to forward_into per chunk.
+  void forward_block(std::span<const std::uint8_t* const> rows,
                      std::span<TransformedChunk> out,
                      TransformBlockScratch& scratch) const;
 

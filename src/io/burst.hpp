@@ -46,6 +46,7 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -212,6 +213,24 @@ class Burst {
     } else {
       append_view(d.type, d.syndrome, d.basis_id, from.payload(i),
                   from.meta_[i]);
+    }
+  }
+
+  /// Moves packet first + j to position first + dest[j], for every j —
+  /// `dest` must be a permutation of [0, size() - first). Descriptors,
+  /// metadata and payload views move; payload bytes stay where they are.
+  /// `dest` is consumed (left as the identity).
+  void reorder(std::size_t first, std::span<std::uint32_t> dest) {
+    ZL_EXPECTS(first + dest.size() == size());
+    for (std::size_t j = 0; j < dest.size(); ++j) {
+      while (dest[j] != j) {
+        const std::size_t a = first + j;
+        const std::size_t b = first + dest[j];
+        std::swap(descs_[a], descs_[b]);
+        std::swap(slots_[a], slots_[b]);
+        std::swap(meta_[a], meta_[b]);
+        std::swap(dest[j], dest[dest[j]]);
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #include "io/node.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/contracts.hpp"
 #include "gd/packet.hpp"
@@ -47,7 +48,10 @@ Node::Node(NodeOptions options) : options_(options) {
           const std::size_t target =
               unit_index_[unit.seq - burst_base_seq_];
           copy_passthrough(*in_, *out_, target);
-          append_unit_output(*unit.output, in_->meta(target), *out_);
+          const engine::EncodeBatch& batch = *unit.output;
+          for (const engine::PacketDesc& desc : batch.packets()) {
+            append_output(*in_, target, desc, batch.payload(desc), *out_);
+          }
           next_input_ = target + 1;
         });
   } else {
@@ -57,7 +61,8 @@ Node::Node(NodeOptions options) : options_(options) {
           const std::size_t target =
               unit_index_[unit.seq - burst_base_seq_];
           copy_passthrough(*in_, *out_, target);
-          append_unit_output(*unit.output, in_->meta(target), *out_);
+          append_output(*in_, target, engine::PacketDesc{},
+                        unit.output->bytes(), *out_);
           next_input_ = target + 1;
         });
   }
@@ -65,37 +70,51 @@ Node::Node(NodeOptions options) : options_(options) {
 
 Node::~Node() = default;
 
-engine::Engine& Node::serial_engine(std::uint32_t flow) {
+Node::SerialEngine& Node::serial_engine(std::uint32_t flow) {
   if (options_.ownership == engine::DictionaryOwnership::shared) {
     // The switch's one-table-per-direction reality: one engine (hence
-    // one dictionary) sees every flow's units in submission order.
-    if (!shared_engine_) {
-      shared_engine_.emplace(options_.params, options_.policy, options_.learn,
-                             options_.dictionary_shards);
-    }
+    // one dictionary) sees every flow's packets in input order.
+    if (!shared_engine_) shared_engine_.emplace(options_);
     return *shared_engine_;
   }
-  const auto [it, inserted] = flow_engines_.try_emplace(
-      flow, options_.params, options_.policy, options_.learn,
-      options_.dictionary_shards);
-  return it->second;
+  return flow_engines_.try_emplace(flow, options_).first->second;
 }
 
-void Node::append_unit_output(const engine::EncodeBatch& unit,
-                              const PacketMeta& in_meta, Burst& out) const {
-  for (const engine::PacketDesc& desc : unit.packets()) {
-    PacketMeta meta = in_meta;
-    meta.ether_type = gd::ether_type_for(desc.type);
-    out.append(desc.type, desc.syndrome, desc.basis_id, unit.payload(desc),
-               meta);
+/// Lands each output packet in `out` and notes which input packet it
+/// came from; `packets` maps the unit's packet positions to input indices.
+struct Node::OutputSink {
+  Node* node;
+  const Burst* in;
+  Burst* out;
+  std::span<const std::uint32_t> packets;
+
+  void on_packet(std::size_t packet, const engine::PacketDesc& desc,
+                 std::span<const std::uint8_t> bytes) {
+    node->append_output(*in, packets[packet], desc, bytes, *out);
+    node->out_source_.push_back(packets[packet]);
   }
+};
+
+void Node::append_output(const Burst& in, std::size_t i,
+                         const engine::PacketDesc& desc,
+                         std::span<const std::uint8_t> bytes,
+                         Burst& out) const {
+  const gd::PacketType type = options_.direction == Direction::decode
+                                  ? gd::PacketType::raw
+                                  : desc.type;
+  out.append(type, desc.syndrome, desc.basis_id, bytes, in.meta(i));
+  out.meta(out.size() - 1).ether_type = gd::ether_type_for(type);
 }
 
-void Node::append_unit_output(const engine::DecodeBatch& unit,
-                              const PacketMeta& in_meta, Burst& out) const {
-  PacketMeta meta = in_meta;
-  meta.ether_type = gd::ether_type_for(gd::PacketType::raw);
-  out.append(gd::PacketType::raw, 0, 0, unit.bytes(), meta);
+void Node::append_passthrough(const Burst& in, std::size_t i, Burst& out) {
+  // Spliced by view (zero_copy) or copied verbatim (the frozen baseline
+  // path).
+  if (options_.zero_copy) {
+    out.append_view_from(in, i);
+  } else {
+    out.append_from(in, i);
+  }
+  ++passthrough_;
 }
 
 void Node::copy_passthrough(const Burst& in, Burst& out, std::size_t end) {
@@ -104,15 +123,8 @@ void Node::copy_passthrough(const Burst& in, Burst& out, std::size_t end) {
     // packet the cursor crosses belongs to a FAILED unit: the pipeline
     // delivered it without invoking the sink and ferried its error to
     // flush(), which rethrows after the burst drains. Its output is
-    // dropped here; everything else is passthrough, spliced by view
-    // (zero_copy) or copied verbatim (the frozen baseline path).
-    if (in.meta(next_input_).process) continue;
-    if (options_.zero_copy) {
-      out.append_view_from(in, next_input_);
-    } else {
-      out.append_from(in, next_input_);
-    }
-    ++passthrough_;
+    // dropped here; everything else is passthrough.
+    if (!in.meta(next_input_).process) append_passthrough(in, next_input_, out);
   }
 }
 
@@ -129,29 +141,79 @@ void Node::process(const Burst& in, Burst& out) {
 }
 
 void Node::process_serial(const Burst& in, Burst& out) {
+  // One unit per engine: number the engines this burst touches in order
+  // of first use, then group the processed packets by unit (a counting
+  // sort, input order kept within each unit).
+  unit_engines_.clear();
+  packet_unit_.clear();
   for (std::size_t i = 0; i < in.size(); ++i) {
-    const PacketMeta& meta = in.meta(i);
-    if (!meta.process) {
-      if (options_.zero_copy) {
-        out.append_view_from(in, i);
-      } else {
-        out.append_from(in, i);
-      }
-      ++passthrough_;
-      continue;
+    if (!in.meta(i).process) continue;
+    SerialEngine& se = serial_engine(in.meta(i).flow);
+    if (se.burst != bursts_) {
+      se.burst = bursts_;
+      se.unit = static_cast<std::uint32_t>(unit_engines_.size());
+      unit_engines_.push_back(&se);
     }
-    engine::Engine& eng = serial_engine(meta.flow);
-    ++units_;
-    if (options_.direction == Direction::encode) {
-      encode_scratch_.clear();
-      eng.encode_payload(in.payload(i), encode_scratch_);
-      append_unit_output(encode_scratch_, meta, out);
-    } else {
-      decode_scratch_.clear();
-      eng.decode_wire(in.desc(i).type, in.payload(i), decode_scratch_);
-      append_unit_output(decode_scratch_, meta, out);
+    packet_unit_.push_back(se.unit);
+  }
+  units_ += packet_unit_.size();
+  unit_begin_.assign(unit_engines_.size() + 1, 0);
+  for (const std::uint32_t u : packet_unit_) ++unit_begin_[u];
+  std::partial_sum(unit_begin_.begin(), unit_begin_.end(), unit_begin_.begin());
+  unit_packets_.resize(packet_unit_.size());
+  // Backwards, so each unit_begin_[u] ends at the unit's first slot.
+  for (std::size_t i = in.size(), p = packet_unit_.size(); i-- > 0;) {
+    if (in.meta(i).process) {
+      unit_packets_[--unit_begin_[packet_unit_[--p]]] =
+          static_cast<std::uint32_t>(i);
     }
   }
+
+  // Run every unit, each emitting straight into `out`.
+  const std::size_t base = out.size();
+  out_source_.clear();
+  for (std::size_t u = 0; u < unit_engines_.size(); ++u) {
+    const std::span<const std::uint32_t> packets(
+        unit_packets_.data() + unit_begin_[u],
+        unit_begin_[u + 1] - unit_begin_[u]);
+    OutputSink sink{this, &in, &out, packets};
+    engine::Engine& eng = unit_engines_[u]->engine;
+    std::size_t k = 0;
+    if (options_.direction == Direction::encode) {
+      eng.encode_packets(
+          [&](std::span<const std::uint8_t>& payload) {
+            if (k == packets.size()) return false;
+            payload = in.payload(packets[k++]);
+            return true;
+          },
+          sink);
+    } else {
+      eng.decode_packets(
+          [&](engine::WirePacket& wire) {
+            if (k == packets.size()) return false;
+            wire = {in.desc(packets[k]).type, in.payload(packets[k])};
+            ++k;
+            return true;
+          },
+          sink);
+    }
+  }
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (in.meta(i).process) continue;
+    append_passthrough(in, i, out);
+    out_source_.push_back(static_cast<std::uint32_t>(i));
+  }
+
+  // Put `out` in input order: a stable counting sort on the source
+  // packet, moving descriptors only. Already sorted — nothing moves — when
+  // one unit served the whole burst and nothing passed through.
+  if (std::is_sorted(out_source_.begin(), out_source_.end())) return;
+  sort_counts_.assign(in.size() + 1, 0);
+  for (const std::uint32_t i : out_source_) ++sort_counts_[i + 1];
+  std::partial_sum(sort_counts_.begin(), sort_counts_.end(),
+                   sort_counts_.begin());
+  for (std::uint32_t& i : out_source_) i = sort_counts_[i]++;
+  out.reorder(base, out_source_);
 }
 
 void Node::process_parallel(const Burst& in, Burst& out) {
@@ -247,16 +309,13 @@ NodeStats Node::stats() const {
       s.dictionary = dict->stats();
     }
   } else {
-    if (shared_engine_.has_value()) {
-      accumulate(s.engine, shared_engine_->stats());
-      s.dictionary_bases += shared_engine_->dictionary().size();
-      s.dictionary += shared_engine_->dictionary_handle().stats();
-    }
-    for (const auto& [flow, eng] : flow_engines_) {
+    const auto add = [&s](const engine::Engine& eng) {
       accumulate(s.engine, eng.stats());
       s.dictionary_bases += eng.dictionary().size();
       s.dictionary += eng.dictionary_handle().stats();
-    }
+    };
+    if (shared_engine_.has_value()) add(shared_engine_->engine);
+    for (const auto& [flow, se] : flow_engines_) add(se.engine);
   }
   return s;
 }

@@ -8,7 +8,10 @@
 //   * workers == 1            -> serial engine(s), no threads. per_flow
 //     ownership keeps one private Engine per flow key; shared ownership
 //     keeps ONE engine for the whole direction (the switch's single
-//     table), processing units in submission order.
+//     table). Each engine takes ALL of a burst's packets it serves as ONE
+//     engine unit (engine::Engine::encode_packets / decode_packets), run
+//     through transform -> resolve -> emit in 256-row windows: the whole
+//     burst under shared ownership, one unit per flow under per_flow.
 //   * workers > 1             -> engine::ParallelPipeline with the
 //     ordered drain, per_flow or shared dictionary ownership, pinned,
 //     load-aware or topology-aware steering (per flow and sticky under
@@ -19,9 +22,10 @@
 // resolve turnstile — see engine/parallel.hpp). tests/io_backend_test.cpp
 // property-tests the full matrix against the serial references.
 //
-// The unit of work is one source packet: on encode, a packet's payload
-// becomes one engine unit (possibly several wire packets: chunks + raw
-// tail); on decode, one wire packet becomes one recovered raw packet.
+// On encode, a packet's payload becomes one or more wire packets (chunks
+// + raw tail); on decode, one wire packet becomes one recovered raw
+// packet. The serial arrangement emits straight into `out` and then puts
+// the packets in input order; the worker pool runs one packet per unit.
 // Packets whose meta says process == false traverse untouched, keeping
 // their position — the switch's passthrough for non-ZipLine traffic.
 //
@@ -193,11 +197,25 @@ class Node {
   [[nodiscard]] NodeStats stats() const;
 
  private:
-  [[nodiscard]] engine::Engine& serial_engine(std::uint32_t flow);
-  void append_unit_output(const engine::EncodeBatch& unit,
-                          const PacketMeta& in_meta, Burst& out) const;
-  void append_unit_output(const engine::DecodeBatch& unit,
-                          const PacketMeta& in_meta, Burst& out) const;
+  /// A serial engine plus the unit it runs in the current burst.
+  struct SerialEngine {
+    explicit SerialEngine(const NodeOptions& o)
+        : engine(o.params, o.policy, o.learn, o.dictionary_shards) {}
+    engine::Engine engine;
+    std::uint64_t burst = 0;  ///< last burst (bursts_ value) it served
+    std::uint32_t unit = 0;   ///< its unit's index in that burst
+  };
+  /// engine::UnitSink landing a serial unit's output in `out`.
+  struct OutputSink;
+
+  [[nodiscard]] SerialEngine& serial_engine(std::uint32_t flow);
+  /// Appends one output packet of input packet `i` to `out`, with `i`'s
+  /// metadata: the wire packet on encode, the recovered raw packet on
+  /// decode.
+  void append_output(const Burst& in, std::size_t i,
+                     const engine::PacketDesc& desc,
+                     std::span<const std::uint8_t> bytes, Burst& out) const;
+  void append_passthrough(const Burst& in, std::size_t i, Burst& out);
   void copy_passthrough(const Burst& in, Burst& out, std::size_t end);
   void process_serial(const Burst& in, Burst& out);
   void process_parallel(const Burst& in, Burst& out);
@@ -205,10 +223,17 @@ class Node {
   NodeOptions options_;
 
   // Serial arrangement: engines created on first use, reused forever.
-  std::unordered_map<std::uint32_t, engine::Engine> flow_engines_;
-  std::optional<engine::Engine> shared_engine_;
-  engine::EncodeBatch encode_scratch_;
-  engine::DecodeBatch decode_scratch_;
+  std::unordered_map<std::uint32_t, SerialEngine> flow_engines_;
+  std::optional<SerialEngine> shared_engine_;
+  // Per-burst serial staging, grow-only: the burst's units, its processed
+  // packets grouped by unit (input order within each), and the input
+  // packet behind every packet appended to `out`.
+  std::vector<SerialEngine*> unit_engines_;
+  std::vector<std::uint32_t> packet_unit_;   ///< per processed packet
+  std::vector<std::uint32_t> unit_begin_;    ///< unit -> unit_packets_ offset
+  std::vector<std::uint32_t> unit_packets_;  ///< input indices, by unit
+  std::vector<std::uint32_t> out_source_;
+  std::vector<std::uint32_t> sort_counts_;
 
   // Parallel arrangement (one direction per node).
   std::unique_ptr<engine::ParallelEncoder> parallel_encoder_;

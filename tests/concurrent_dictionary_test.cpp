@@ -343,6 +343,10 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
     std::atomic<std::size_t> readers_done{0};
     std::atomic<std::uint64_t> torn{0};
     std::atomic<std::uint64_t> verified{0};
+    // Readers start once the writer has published its first basis: on a
+    // loaded host the writer thread may otherwise not run until every
+    // reader has finished, and the readers would race nothing.
+    std::atomic<bool> writing{false};
 
     std::thread writer([&] {
       Rng rng(0x317E);
@@ -357,6 +361,7 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
           dict.insert_if_absent(
               tagged_basis((op % kSeedRange) * 0x9E3779B97F4A7C15ULL + 1));
         }
+        if (op == 0) writing.store(true, std::memory_order_release);
       }
     });
 
@@ -365,6 +370,9 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
       readers.emplace_back([&, r] {
         Rng rng(0xEAD0 + r);
         bits::BitVector fetched;
+        while (!writing.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
         for (std::uint64_t op = 0; op < kReaderOps; ++op) {
           if (rng.next_bool(0.5)) {
             const auto id =

@@ -168,6 +168,60 @@ TEST(EngineAllocation, UnitScratchIsBoundedByTheWindow) {
   ASSERT_EQ(decoded.bytes().size(), payload.size());
   EXPECT_TRUE(std::equal(decoded.bytes().begin(), decoded.bytes().end(),
                          payload.begin()));
+
+  // The same bound through a serial node pair, whose engine unit is a
+  // whole burst: once one window of one-chunk packets has warmed a flow's
+  // engines, a 1024-packet burst on that flow — one-chunk packets
+  // alternating with chunkless tail-only ones, so both the row and the
+  // packet bound of a window are needed — allocates nothing. A
+  // 1024-packet burst on ANOTHER flow (other engines) first grows the
+  // node's per-burst packet indices, which scale with the burst by
+  // design; the output bursts are reserved up front.
+  const std::size_t chunk_bytes = params.raw_payload_bytes();
+  const auto burst_of = [&](std::size_t packets, std::uint32_t flow,
+                            bool tails) {
+    io::Burst burst;
+    io::PacketMeta meta;
+    meta.flow = flow;
+    for (std::size_t p = 0; p < packets; ++p) {
+      const std::size_t bytes = tails && p % 2 == 1 ? 11 : chunk_bytes;
+      burst.append_view(gd::PacketType::raw, 0, 0,
+                        std::span(payload).subspan(p * chunk_bytes, bytes),
+                        meta);
+    }
+    return burst;
+  };
+  const std::size_t long_packets = 4 * Engine::kWindowChunks;
+  io::Node node_encoder(io::NodeOptions{}.with_params(params));
+  io::Node node_decoder(io::NodeOptions{}
+                            .with_direction(io::Direction::decode)
+                            .with_params(params));
+  io::Burst wire;
+  io::Burst restored;
+  for (const io::Burst& warm : {burst_of(long_packets, /*flow=*/1, false),
+                                burst_of(Engine::kWindowChunks, 0, false)}) {
+    wire.clear();
+    restored.clear();
+    node_encoder.process(warm, wire);
+    node_decoder.process(wire, restored);
+  }
+  const io::Burst long_burst = burst_of(long_packets, 0, true);
+  wire.clear();
+  wire.reserve(long_packets, long_packets * chunk_bytes);
+  restored.clear();
+  restored.reserve(long_packets, long_packets * chunk_bytes);
+
+  const std::uint64_t before_node = allocation_count();
+  node_encoder.process(long_burst, wire);
+  node_decoder.process(wire, restored);
+  EXPECT_EQ(allocation_count(), before_node)
+      << "a burst longer than the window must reuse the window's scratch";
+  ASSERT_EQ(restored.size(), long_packets);
+  for (std::size_t p = 0; p < long_packets; ++p) {
+    ASSERT_TRUE(std::ranges::equal(restored.payload(p),
+                                   long_burst.payload(p)))
+        << "packet " << p;
+  }
 }
 
 // The worker pool inherits the engine's discipline: job slots, rings and
@@ -327,6 +381,38 @@ TEST(EngineAllocation, RingNodeRingSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocation_count(), before)
       << "steady-state ring -> node -> burst pass must not touch the heap";
   EXPECT_GT(out.size(), 0u);
+
+  // The sensor shape: 256 one-chunk packets, the whole burst one engine
+  // unit, through a serial encode node AND a serial decode node.
+  io::Burst sensor;
+  const auto chunks = random_payload(rng, 64 * params.raw_payload_bytes());
+  for (std::size_t p = 0; p < Engine::kWindowChunks; ++p) {
+    sensor.append(gd::PacketType::raw, 0, 0,
+                  std::span(chunks).subspan((p % 64) *
+                                                params.raw_payload_bytes(),
+                                            params.raw_payload_bytes()),
+                  io::PacketMeta{});
+  }
+  io::Node encoder(io::NodeOptions{}.with_params(params));
+  io::Node decoder(io::NodeOptions{}
+                       .with_direction(io::Direction::decode)
+                       .with_params(params));
+  io::Burst wire;
+  io::Burst restored;
+  const auto round_trip = [&] {
+    wire.clear();
+    restored.clear();
+    encoder.process(sensor, wire);
+    decoder.process(wire, restored);
+  };
+  for (int i = 0; i < 4; ++i) round_trip();  // warmup: learn + grow
+  const std::uint64_t before_sensor = allocation_count();
+  for (int i = 0; i < 50; ++i) round_trip();
+  EXPECT_EQ(allocation_count(), before_sensor)
+      << "steady-state one-chunk bursts through serial encode and decode "
+         "nodes must not touch the heap";
+  ASSERT_EQ(restored.size(), sensor.size());
+  EXPECT_TRUE(std::ranges::equal(restored.payload(255), sensor.payload(255)));
 }
 
 // The buffer pool is the ring discipline one level down: every pooled

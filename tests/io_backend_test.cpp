@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -33,6 +34,7 @@ namespace zipline::io {
 namespace {
 
 using engine::DictionaryOwnership;
+using engine::Engine;
 using engine::FlowSteering;
 using gd::EvictionPolicy;
 using gd::GdParams;
@@ -113,6 +115,8 @@ NodeOptions base_options(DictionaryOwnership ownership, EvictionPolicy policy,
   return options;
 }
 
+/// The six codec counters. EngineStats::batches counts emitted units,
+/// which differ by arrangement — see expected_batches.
 void expect_same_engine_stats(const engine::EngineStats& got,
                               const engine::EngineStats& want) {
   EXPECT_EQ(got.chunks, want.chunks);
@@ -121,7 +125,31 @@ void expect_same_engine_stats(const engine::EngineStats& got,
   EXPECT_EQ(got.compressed_packets, want.compressed_packets);
   EXPECT_EQ(got.bytes_in, want.bytes_in);
   EXPECT_EQ(got.bytes_out, want.bytes_out);
-  EXPECT_EQ(got.batches, want.batches);
+}
+
+/// EngineStats::batches of a node that processed `bursts`: a serial node
+/// emits one unit per engine per burst (one engine under shared
+/// ownership, one per flow under per_flow), the worker pool one per
+/// processed packet.
+std::uint64_t expected_batches(const std::vector<Burst>& bursts,
+                               DictionaryOwnership ownership,
+                               std::size_t workers) {
+  std::uint64_t units = 0;
+  for (const Burst& burst : bursts) {
+    std::set<std::uint32_t> engines;
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      if (!burst.meta(i).process) continue;
+      if (workers > 1) {
+        ++units;
+      } else {
+        engines.insert(ownership == DictionaryOwnership::shared
+                           ? 0
+                           : burst.meta(i).flow);
+      }
+    }
+    units += engines.size();
+  }
+  return units;
 }
 
 class BackendRoundTrip
@@ -168,9 +196,13 @@ TEST_P(BackendRoundTrip, RingNodeRingNodeRecoversPayloads) {
   for (std::size_t b = 0; b < workload.size(); ++b) {
     serial.process(workload[b], reference[b]);
   }
-  // Every arrangement accounts the same traffic identically: each
-  // processed packet is one emitted unit, whichever engine emitted it.
+  // Every arrangement accounts the same traffic identically; only the
+  // number of emitted units depends on the arrangement.
   expect_same_engine_stats(encoder.stats().engine, serial.stats().engine);
+  EXPECT_EQ(encoder.stats().engine.batches,
+            expected_batches(workload, ownership, workers));
+  EXPECT_EQ(serial.stats().engine.batches,
+            expected_batches(workload, ownership, 1));
 
   // Decode back through the mirrored arrangement and compare.
   MemoryRing decoded_ring(workload.size());
@@ -191,6 +223,10 @@ TEST_P(BackendRoundTrip, RingNodeRingNodeRecoversPayloads) {
   }
   expect_same_engine_stats(decoder.stats().engine,
                            serial_decoder.stats().engine);
+  EXPECT_EQ(decoder.stats().engine.batches,
+            expected_batches(reference, ownership, workers));
+  EXPECT_EQ(serial_decoder.stats().engine.batches,
+            expected_batches(reference, ownership, 1));
 
   // A multi-chunk payload fans out into several wire packets (chunks +
   // raw tail), each of which decodes to its own packet — packet counts
@@ -240,6 +276,187 @@ INSTANTIATE_TEST_SUITE_P(
                                          EvictionPolicy::fifo,
                                          EvictionPolicy::random),
                        ::testing::Values(std::size_t{1}, std::size_t{4})));
+
+/// Traffic shaped to stress a serial node's burst-level engine unit:
+/// passthrough interleaved with processed packets, payloads with raw
+/// tails, chunkless tail-only and empty payloads, bursts whose rows cross
+/// window boundaries, one payload longer than a window, and one burst of
+/// more packets than a window holds. Chunks come from a pool larger than
+/// a 64-entry dictionary, so evictions happen inside one unit.
+std::vector<Burst> make_unit_workload(Rng& rng, const GdParams& params) {
+  const std::size_t chunk_bytes = params.raw_payload_bytes();
+  std::vector<std::vector<std::uint8_t>> pool(96);
+  for (auto& chunk : pool) {
+    chunk.resize(chunk_bytes);
+    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const auto random_payload = [&](std::size_t chunks, std::size_t tail) {
+    std::vector<std::uint8_t> payload;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      auto chunk = pool[rng.next_below(pool.size())];
+      if (rng.next_bool(0.3)) chunk[rng.next_below(chunk_bytes)] ^= 0x10;
+      payload.insert(payload.end(), chunk.begin(), chunk.end());
+    }
+    for (std::size_t t = 0; t < tail; ++t) {
+      payload.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+    }
+    return payload;
+  };
+  const auto add = [&](Burst& burst, std::vector<std::uint8_t> payload,
+                       bool process) {
+    PacketMeta meta;
+    meta.flow = static_cast<std::uint32_t>(rng.next_below(3));
+    meta.timestamp_us = burst.size();
+    meta.ether_type = process ? 0 : 0x0800;
+    meta.process = process;
+    burst.append(gd::PacketType::raw, 0, 0, payload, meta);
+  };
+  std::vector<Burst> bursts;
+  for (int round = 0; round < 3; ++round) {
+    // ~3.5 chunks per packet: more than one 256-row window per flow.
+    Burst& mixed = bursts.emplace_back();
+    for (int p = 0; p < 300; ++p) {
+      const std::size_t chunks = rng.next_below(8);
+      const std::size_t tail =
+          rng.next_bool(0.3) ? 1 + rng.next_below(chunk_bytes - 1) : 0;
+      add(mixed, random_payload(chunks, tail), !rng.next_bool(0.15));
+    }
+  }
+  Burst& long_payload = bursts.emplace_back();
+  add(long_payload, random_payload(2, 0), false);
+  add(long_payload, random_payload(Engine::kWindowChunks + 45, 7), true);
+  add(long_payload, random_payload(3, 0), true);
+  Burst& tails = bursts.emplace_back();
+  for (std::size_t p = 0; p < 3 * Engine::kWindowChunks + 60; ++p) {
+    add(tails, random_payload(0, 1 + rng.next_below(chunk_bytes - 1)),
+        p % 7 != 3);
+  }
+  return bursts;
+}
+
+/// The per-packet reference a serial node must match: one
+/// Engine::encode_payload or decode_wire call per processed packet, in
+/// input order, on one engine per flow (per_flow) or one engine for all
+/// (shared); passthrough copied through.
+class PerPacketReference {
+ public:
+  explicit PerPacketReference(const NodeOptions& options)
+      : options_(options) {}
+
+  void process(const Burst& in, Burst& out) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      PacketMeta meta = in.meta(i);
+      if (!meta.process) {
+        out.append_from(in, i);
+        continue;
+      }
+      const std::uint32_t key =
+          options_.ownership == DictionaryOwnership::shared ? 0 : meta.flow;
+      engine::Engine& eng =
+          engines_
+              .try_emplace(key, options_.params, options_.policy,
+                           options_.learn, options_.dictionary_shards)
+              .first->second;
+      if (options_.direction == Direction::encode) {
+        encoded_.clear();
+        eng.encode_payload(in.payload(i), encoded_);
+        for (const engine::PacketDesc& desc : encoded_.packets()) {
+          meta.ether_type = gd::ether_type_for(desc.type);
+          out.append(desc.type, desc.syndrome, desc.basis_id,
+                     encoded_.payload(desc), meta);
+        }
+      } else {
+        decoded_.clear();
+        eng.decode_wire(in.desc(i).type, in.payload(i), decoded_);
+        meta.ether_type = gd::ether_type_for(gd::PacketType::raw);
+        out.append(gd::PacketType::raw, 0, 0, decoded_.bytes(), meta);
+      }
+    }
+  }
+
+  [[nodiscard]] engine::EngineStats stats() const {
+    engine::EngineStats total;
+    for (const auto& [key, eng] : engines_) {
+      const engine::EngineStats& s = eng.stats();
+      total.chunks += s.chunks;
+      total.raw_packets += s.raw_packets;
+      total.uncompressed_packets += s.uncompressed_packets;
+      total.compressed_packets += s.compressed_packets;
+      total.bytes_in += s.bytes_in;
+      total.bytes_out += s.bytes_out;
+    }
+    return total;
+  }
+
+ private:
+  NodeOptions options_;
+  std::map<std::uint32_t, engine::Engine> engines_;
+  engine::EncodeBatch encoded_;
+  engine::DecodeBatch decoded_;
+};
+
+class SerialUnitProperty
+    : public ::testing::TestWithParam<
+          std::tuple<DictionaryOwnership, EvictionPolicy>> {};
+
+// A serial node runs each burst as one engine unit per engine; packet for
+// packet and counter for counter it must equal the per-packet reference,
+// in both directions, and the round trip must restore every payload.
+TEST_P(SerialUnitProperty, BurstUnitEqualsPerPacketReference) {
+  const auto [ownership, policy] = GetParam();
+  GdParams params;
+  params.id_bits = 6;  // 64 entries: evictions inside one unit
+  Rng rng(0x5E41 + static_cast<std::uint64_t>(policy) * 13 +
+          (ownership == DictionaryOwnership::shared ? 500 : 0));
+  const std::vector<Burst> workload = make_unit_workload(rng, params);
+
+  const NodeOptions options = base_options(ownership, policy, 1, params);
+  Node encoder(NodeOptions(options).with_direction(Direction::encode));
+  PerPacketReference encode_ref(
+      NodeOptions(options).with_direction(Direction::encode));
+  Node decoder(NodeOptions(options).with_direction(Direction::decode));
+  PerPacketReference decode_ref(
+      NodeOptions(options).with_direction(Direction::decode));
+  for (std::size_t b = 0; b < workload.size(); ++b) {
+    Burst encoded;
+    Burst want_encoded;
+    encoder.process(workload[b], encoded);
+    encode_ref.process(workload[b], want_encoded);
+    ASSERT_TRUE(same_packets(encoded, want_encoded)) << "encode, burst " << b;
+
+    Burst decoded;
+    Burst want_decoded;
+    decoder.process(encoded, decoded);
+    decode_ref.process(encoded, want_decoded);
+    ASSERT_TRUE(same_packets(decoded, want_decoded)) << "decode, burst " << b;
+
+    // Each processed packet's chunks and tail decode back to its payload.
+    std::vector<std::uint8_t> got;
+    std::vector<std::uint8_t> want;
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      got.insert(got.end(), decoded.payload(i).begin(),
+                 decoded.payload(i).end());
+    }
+    for (std::size_t i = 0; i < workload[b].size(); ++i) {
+      want.insert(want.end(), workload[b].payload(i).begin(),
+                  workload[b].payload(i).end());
+    }
+    ASSERT_EQ(got, want) << "round trip, burst " << b;
+  }
+  expect_same_engine_stats(encoder.stats().engine, encode_ref.stats());
+  expect_same_engine_stats(decoder.stats().engine, decode_ref.stats());
+  EXPECT_GT(encoder.stats().dictionary.evictions, 0u);
+  EXPECT_EQ(encoder.stats().engine.batches,
+            expected_batches(workload, ownership, 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OwnershipPolicy, SerialUnitProperty,
+    ::testing::Combine(::testing::Values(DictionaryOwnership::per_flow,
+                                         DictionaryOwnership::shared),
+                       ::testing::Values(EvictionPolicy::lru,
+                                         EvictionPolicy::fifo,
+                                         EvictionPolicy::random)));
 
 // Passthrough packets traverse the node untouched and keep their
 // positions between processed packets — in both the serial and the
@@ -342,6 +559,74 @@ TEST(NodeErrors, ParallelStageFailureSurfacesAndNodeStaysUsable) {
   const auto got = out2.payload(0);
   EXPECT_TRUE(std::equal(got.begin(), got.end(), payload.begin(),
                          payload.end()));
+}
+
+// The serial twin: a decode burst carrying an unknown-ID type-3 packet or
+// a truncated type-2 packet throws ContractViolation out of process(), and
+// the next bursts on the same node decode bit-exactly — no stale rows or
+// tails survive in the burst-level unit scratch. The poisoned bursts
+// teach the dictionary nothing (raw packets only around the bad one), so
+// the mirrored dictionaries stay in step.
+TEST(NodeErrors, SerialDecodeFailureLeavesNoStaleUnitState) {
+  const GdParams params;
+  for (const auto ownership :
+       {DictionaryOwnership::per_flow, DictionaryOwnership::shared}) {
+    Rng rng(0x5E7A1);
+    const std::vector<Burst> workload =
+        make_workload(rng, params, /*bursts=*/3, /*packets=*/40, /*flows=*/3);
+    Node encoder(NodeOptions{}.with_params(params).with_ownership(ownership));
+    Node decoder(NodeOptions{}
+                     .with_direction(Direction::decode)
+                     .with_params(params)
+                     .with_ownership(ownership));
+    std::vector<Burst> encoded(workload.size());
+    for (std::size_t b = 0; b < workload.size(); ++b) {
+      encoder.process(workload[b], encoded[b]);
+    }
+    const auto restores = [&](std::size_t b) {
+      Burst decoded;
+      decoder.process(encoded[b], decoded);
+      std::vector<std::uint8_t> got;
+      std::vector<std::uint8_t> want;
+      for (std::size_t i = 0; i < decoded.size(); ++i) {
+        got.insert(got.end(), decoded.payload(i).begin(),
+                   decoded.payload(i).end());
+      }
+      for (std::size_t i = 0; i < workload[b].size(); ++i) {
+        want.insert(want.end(), workload[b].payload(i).begin(),
+                    workload[b].payload(i).end());
+      }
+      return got == want;
+    };
+    ASSERT_TRUE(restores(0));
+
+    // All-ones type-3 body: identifier 2^id_bits - 1, far past the few
+    // hundred bases learned so far.
+    const std::vector<std::uint8_t> unknown_id(params.type3_payload_bytes(),
+                                               0xFF);
+    const std::vector<std::uint8_t> truncated(
+        params.type2_payload_bytes() - 1, 0x5A);
+    const std::vector<std::uint8_t> raw(9, 0x33);
+    for (const auto& [type, bad] :
+         {std::pair{gd::PacketType::compressed, &unknown_id},
+          std::pair{gd::PacketType::uncompressed, &truncated}}) {
+      Burst poisoned;
+      PacketMeta meta;
+      for (std::uint32_t flow = 0; flow < 3; ++flow) {
+        meta.flow = flow;
+        poisoned.append(gd::PacketType::raw, 0, 0, raw, meta);
+      }
+      meta.flow = 1;
+      poisoned.append(type, 0, 0, *bad, meta);
+      poisoned.append(gd::PacketType::raw, 0, 0, raw, meta);
+      Burst out;
+      EXPECT_THROW(decoder.process(poisoned, out), ContractViolation)
+          << "type " << static_cast<int>(type);
+    }
+
+    EXPECT_TRUE(restores(1)) << "burst after the failures";
+    EXPECT_TRUE(restores(2));
+  }
 }
 
 // The flush window (NodeOptions::burst_size) must not change output

@@ -85,11 +85,18 @@ TEST(TransformBlock, ForwardMatchesChunkAtATimeEverywhere) {
           reference[c] = transform.forward(chunk);
         }
       }
+      // The block gathers its rows: feed them in reverse payload order,
+      // so row c is chunk count - 1 - c.
+      std::vector<const std::uint8_t*> rows(count);
+      for (std::size_t c = 0; c < count; ++c) {
+        rows[c] = payload.data() + (count - 1 - c) * chunk_bytes;
+      }
+      std::reverse(reference.begin(), reference.end());
       for (const auto level : supported_levels()) {
         ScopedKernelLevel forced(level);
         gd::TransformBlockScratch scratch;
         std::vector<gd::TransformedChunk> out(count);
-        transform.forward_block(payload, count, out, scratch);
+        transform.forward_block(rows, out, scratch);
         for (std::size_t c = 0; c < count; ++c) {
           EXPECT_EQ(out[c].excess, reference[c].excess)
               << "level=" << simd::level_name(level) << " m=" << params.m
@@ -166,9 +173,13 @@ TEST(TransformBlock, ScratchReuseAcrossDirectionsStaysClean) {
   const std::size_t chunk_bytes = params.chunk_bits / 8;
   std::vector<std::uint8_t> payload(count * chunk_bytes);
   for (auto& b : payload) b = 0xFF;  // excess bit set in every chunk
+  std::vector<const std::uint8_t*> rows(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    rows[c] = payload.data() + c * chunk_bytes;
+  }
   gd::TransformBlockScratch scratch;
   std::vector<gd::TransformedChunk> fwd(count);
-  transform.forward_block(payload, count, fwd, scratch);
+  transform.forward_block(rows, fwd, scratch);
   transform.inverse_block_reserve(count, scratch);
   for (std::size_t c = 0; c < count; ++c) {
     transform.inverse_block_stage(scratch, c, fwd[c].basis, fwd[c].syndrome);
