@@ -571,25 +571,20 @@ void BM_ShardedDictionaryLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedDictionaryLookupMiss)->Arg(1)->Arg(8);
 
-// The shared dictionary service's read-path tax. range(1) selects the
-// path: 0 = locked (every lookup takes its shard's striped mutex — the
-// ~40% uncontended overhead over BM_ShardedDictionaryLookup the ROADMAP
-// called out), 1 = seqlock (lookups answered from the per-shard lock-free
-// mirror; Threads(1) vs the private fifo baseline shows the residual
-// overhead, higher thread counts show readers scaling past the stripe
-// count instead of serializing on it). FIFO policy because an LRU *hit*
-// must refresh recency — a write — and takes the stripe lock on either
-// path; fifo/random hits (and misses under every policy) are pure reads,
-// which is what the seqlock path serves without blocking.
+// The shared dictionary service's read cost: lookups are answered from
+// the per-shard lock-free seqlock mirror; Threads(1) vs the private fifo
+// baseline shows the residual overhead, higher thread counts show readers
+// scaling past the stripe count instead of serializing on it. FIFO policy
+// because an LRU *hit* must refresh recency — a write — and takes the
+// stripe lock; fifo/random hits (and misses under every policy) are pure
+// reads, which the seqlock path serves without blocking.
 void BM_ConcurrentDictionaryLookup(benchmark::State& state) {
   static gd::ConcurrentShardedDictionary* dict = nullptr;
   static std::vector<bits::BitVector>* bases = nullptr;
   if (state.thread_index() == 0) {
     const auto shards = static_cast<std::size_t>(state.range(0));
-    const auto path = state.range(1) != 0 ? gd::ReadPath::seqlock
-                                          : gd::ReadPath::locked;
     dict = new gd::ConcurrentShardedDictionary(32768, gd::EvictionPolicy::fifo,
-                                               shards, path);
+                                               shards);
     bases = new std::vector<bits::BitVector>();
     Rng rng(5);
     for (int i = 0; i < 1024; ++i) {
@@ -609,9 +604,8 @@ void BM_ConcurrentDictionaryLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConcurrentDictionaryLookup)
-    ->ArgNames({"shards", "seqlock"})
-    ->Args({8, 0})
-    ->Args({8, 1})
+    ->ArgName("shards")
+    ->Arg(8)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4);
@@ -619,19 +613,16 @@ BENCHMARK(BM_ConcurrentDictionaryLookup)
 // Multi-reader contention against a live writer: thread 0 continuously
 // inserts fresh random bases (publishing new entries and, once the table
 // fills, evictions), while the remaining {1, 2, 4, 8} reader threads look
-// up a resident working set. On the locked path readers serialize on the
-// 8 stripe mutexes (and collide with the writer); on the seqlock path
-// reads never block, so aggregate reader throughput scales with the
-// reader count. (On a single-core host the scaling flattens to the
-// timeslice — the CI runners have real parallelism.)
+// up a resident working set. Seqlock reads never block, so aggregate
+// reader throughput scales with the reader count. (On a single-core host
+// the scaling flattens to the timeslice — the CI runners have real
+// parallelism.)
 void BM_ConcurrentDictionaryLookupContended(benchmark::State& state) {
   static gd::ConcurrentShardedDictionary* dict = nullptr;
   static std::vector<bits::BitVector>* bases = nullptr;
   if (state.thread_index() == 0) {
-    const auto path = state.range(0) != 0 ? gd::ReadPath::seqlock
-                                          : gd::ReadPath::locked;
     dict = new gd::ConcurrentShardedDictionary(32768, gd::EvictionPolicy::fifo,
-                                               8, path);
+                                               8);
     bases = new std::vector<bits::BitVector>();
     Rng rng(5);
     for (int i = 0; i < 1024; ++i) {
@@ -674,9 +665,6 @@ void BM_ConcurrentDictionaryLookupContended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConcurrentDictionaryLookupContended)
-    ->ArgName("seqlock")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(2)
     ->Threads(3)
     ->Threads(5)
@@ -696,8 +684,7 @@ void BM_ConcurrentDictionaryLookupContendedLru(benchmark::State& state) {
   if (state.thread_index() == 0) {
     const auto policy = state.range(0) != 0 ? gd::EvictionPolicy::clock
                                             : gd::EvictionPolicy::lru;
-    dict = new gd::ConcurrentShardedDictionary(32768, policy, 8,
-                                               gd::ReadPath::seqlock);
+    dict = new gd::ConcurrentShardedDictionary(32768, policy, 8);
     bases = new std::vector<bits::BitVector>();
     Rng rng(5);
     for (int i = 0; i < 1024; ++i) {
@@ -870,24 +857,18 @@ BENCHMARK(BM_NodeEncodeBurst)->Arg(1)->Arg(2)->Arg(4);
 
 // Passthrough-ratio sweep: a segment-backed burst (the shape a pooled
 // source serves) with `pct`% passthrough packets through a serial node
-// and one ring hop (the sink push — where a copying data path pays
-// again), with zero_copy on (view splices + segment-ref shares) vs off
-// (the frozen pre-zero-copy baseline, every hop copies — the same
-// measurable-baseline role ByteLoopBitWriter plays for bit I/O). Output
-// bytes are identical across the flag (tests/io_backend_test.cpp); the
+// and one ring hop (the sink push). The node splices passthrough by view
+// (tests/io_backend_test.cpp asserts it copies nothing for them); the
 // counters price the memory traffic:
 //   bytes_copied_per_packet — node + ring payload bytes physically
-//     copied, per input packet (the acceptance number: zero_copy=1 must
-//     be ≥30% below zero_copy=0 on the passthrough-heavy rows)
+//     copied, per input packet
 //   copies_per_packet — the node's own NodeStats::copies_per_packet
 void BM_NodeEncodeBurstPassthrough(benchmark::State& state) {
   const gd::GdParams params;
   const auto passthrough_pct = static_cast<std::size_t>(state.range(0));
-  const bool zero_copy = state.range(1) != 0;
   io::NodeOptions options;
   options.params = params;
   options.workers = 1;
-  options.zero_copy = zero_copy;
   io::BufferPool pool(16384, 64);
   io::SegmentWriter writer(pool);
   Rng rng(11);
@@ -941,8 +922,10 @@ void BM_NodeEncodeBurstPassthrough(benchmark::State& state) {
   state.counters["copies_per_packet"] = node.stats().copies_per_packet;
 }
 BENCHMARK(BM_NodeEncodeBurstPassthrough)
-    ->ArgNames({"passthrough_pct", "zero_copy"})
-    ->ArgsProduct({{0, 50, 90}, {0, 1}});
+    ->ArgName("passthrough_pct")
+    ->Arg(0)
+    ->Arg(50)
+    ->Arg(90);
 
 // The same burst against the shared-dictionary node (one table, per-unit
 // p2c placement past workers=1): what the one-table-per-direction

@@ -86,7 +86,7 @@ int main() {
               format_size(static_cast<double>(dedup.stats().bytes_out)).c_str(),
               dedup.stats().compression_ratio(),
               dedup.dictionary().size());
-  std::printf("%-28s %12s %8.3f  (host CPU, unbounded window)\n", "gzip",
+  std::printf("%-28s %12s %8.3f  (host CPU, 32 KiB window)\n", "gzip",
               format_size(static_cast<double>(gz.size())).c_str(),
               static_cast<double>(gz.size()) / static_cast<double>(flat.size()));
 

@@ -93,6 +93,12 @@ int demo() {
     return 1;
   }
   std::printf("bit-exact.\n");
+  std::printf("verifying gzip round trip... ");
+  if (baseline::gzip_decompress(gz) != data) {
+    std::printf("FAILED\n");
+    return 1;
+  }
+  std::printf("bit-exact.\n");
   std::printf("\nGD's edge here is chunk-level random access and O(1)"
               " memory per chunk;\ngzip needs its full window. On"
               " general-purpose files gzip wins — GD is a\nstructured-data"

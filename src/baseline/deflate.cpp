@@ -1,722 +1,114 @@
 #include "baseline/deflate.hpp"
 
-#include <algorithm>
-#include <array>
-#include <stdexcept>
+#include <zlib.h>
 
-#include "baseline/huffman.hpp"
-#include "common/contracts.hpp"
-#include "crc/crc32.hpp"
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace zipline::baseline {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// DEFLATE constants (RFC 1951 §3.2.5)
-// ---------------------------------------------------------------------------
+/// zlib's windowBits: a negative value selects raw DEFLATE, +16 the gzip
+/// wrapper. Both use the full 32 KiB window.
+constexpr int kRawDeflate = -MAX_WBITS;
+constexpr int kGzip = MAX_WBITS + 16;
+/// The gzip tool's default level, and zlib's default memory level.
+constexpr int kLevel = 6;
+constexpr int kMemLevel = 8;
 
-constexpr int kEndOfBlock = 256;
-constexpr int kNumLitLenSymbols = 286;
-constexpr int kNumDistSymbols = 30;
-constexpr int kMinMatch = 3;
-constexpr int kMaxMatch = 258;
-constexpr std::size_t kWindowSize = 32768;
+/// zlib counts bytes in 32-bit uInt, so buffers are handed over at most
+/// this many bytes at a time.
+constexpr std::size_t kMaxStep = std::numeric_limits<uInt>::max();
 
-struct LengthCode {
-  int symbol;
-  int extra_bits;
-  int base;
-};
-
-// length -> (symbol 257..285, extra bits, base length)
-constexpr std::array<LengthCode, 29> kLengthCodes = {{
-    {257, 0, 3},   {258, 0, 4},   {259, 0, 5},   {260, 0, 6},   {261, 0, 7},
-    {262, 0, 8},   {263, 0, 9},   {264, 0, 10},  {265, 1, 11},  {266, 1, 13},
-    {267, 1, 15},  {268, 1, 17},  {269, 2, 19},  {270, 2, 23},  {271, 2, 27},
-    {272, 2, 31},  {273, 3, 35},  {274, 3, 43},  {275, 3, 51},  {276, 3, 59},
-    {277, 4, 67},  {278, 4, 83},  {279, 4, 99},  {280, 4, 115}, {281, 5, 131},
-    {282, 5, 163}, {283, 5, 195}, {284, 5, 227}, {285, 0, 258},
-}};
-
-struct DistCode {
-  int symbol;
-  int extra_bits;
-  int base;
-};
-
-constexpr std::array<DistCode, 30> kDistCodes = {{
-    {0, 0, 1},      {1, 0, 2},      {2, 0, 3},     {3, 0, 4},
-    {4, 1, 5},      {5, 1, 7},      {6, 2, 9},     {7, 2, 13},
-    {8, 3, 17},     {9, 3, 25},     {10, 4, 33},   {11, 4, 49},
-    {12, 5, 65},    {13, 5, 97},    {14, 6, 129},  {15, 6, 193},
-    {16, 7, 257},   {17, 7, 385},   {18, 8, 513},  {19, 8, 769},
-    {20, 9, 1025},  {21, 9, 1537},  {22, 10, 2049}, {23, 10, 3073},
-    {24, 11, 4097}, {25, 11, 6145}, {26, 12, 8193}, {27, 12, 12289},
-    {28, 13, 16385}, {29, 13, 24577},
-}};
-
-// Order in which code-length-code lengths are stored (RFC 1951 §3.2.7).
-constexpr std::array<int, 19> kClclOrderReal = {16, 17, 18, 0, 8,  7, 9,
-                                                6,  10, 5,  11, 4, 12, 3,
-                                                13, 2,  14, 1,  15};
-
-int length_code_index(int length) {
-  ZL_ASSERT(length >= kMinMatch && length <= kMaxMatch);
-  // Binary search for the entry with the largest base <= length. Length 258
-  // lands exactly on the dedicated zero-extra entry (symbol 285).
-  int lo = 0;
-  int hi = static_cast<int>(kLengthCodes.size()) - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi + 1) / 2;
-    if (kLengthCodes[static_cast<std::size_t>(mid)].base <= length) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
+/// Runs `step` (a deflate or inflate call) over `input` until zlib stops,
+/// growing `out` whenever zlib fills it; returns the code zlib stopped on
+/// (anything but Z_OK). On return `out` holds exactly the bytes produced.
+template <typename Step>
+int pump(z_stream& zs, std::span<const std::uint8_t> input,
+         std::vector<std::uint8_t>& out, Step step) {
+  // zlib's API is not const-correct; it never writes through next_in.
+  zs.next_in = const_cast<Bytef*>(input.data());
+  std::size_t in_left = input.size();
+  int rc = Z_OK;
+  while (rc == Z_OK) {
+    if (zs.avail_in == 0 && in_left > 0) {
+      zs.avail_in = static_cast<uInt>(std::min(in_left, kMaxStep));
+      in_left -= zs.avail_in;
     }
+    if (zs.avail_out == 0) {
+      const std::size_t produced = zs.total_out;
+      if (produced == out.size()) {
+        out.resize(std::max<std::size_t>(64, 2 * out.size()));
+      }
+      zs.next_out = out.data() + produced;
+      zs.avail_out =
+          static_cast<uInt>(std::min(out.size() - produced, kMaxStep));
+    }
+    rc = step(in_left == 0 ? Z_FINISH : Z_NO_FLUSH);
   }
-  return lo;
+  out.resize(zs.total_out);
+  return rc;
 }
 
-int dist_code_index(int dist) {
-  ZL_ASSERT(dist >= 1 && dist <= 32768);
-  int lo = 0;
-  int hi = static_cast<int>(kDistCodes.size()) - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi + 1) / 2;
-    if (kDistCodes[static_cast<std::size_t>(mid)].base <= dist) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
+std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input,
+                                   int window_bits) {
+  z_stream zs{};
+  if (deflateInit2(&zs, kLevel, Z_DEFLATED, window_bits, kMemLevel,
+                   Z_DEFAULT_STRATEGY) != Z_OK) {
+    throw std::runtime_error("zlib: deflateInit2 failed");
   }
-  return lo;
+  const std::unique_ptr<z_stream, decltype(&deflateEnd)> end(&zs, deflateEnd);
+  std::vector<std::uint8_t> out(deflateBound(&zs, input.size()));
+  const int rc = pump(zs, input, out,
+                      [&zs](int flush) { return deflate(&zs, flush); });
+  if (rc != Z_STREAM_END) throw std::runtime_error("zlib: deflate failed");
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// LSB-first bit I/O (DEFLATE bit order)
-// ---------------------------------------------------------------------------
-
-class LsbBitWriter {
- public:
-  /// Writes `count` bits of `value`, least-significant bit first.
-  void write_bits(std::uint32_t value, int count) {
-    for (int i = 0; i < count; ++i) {
-      push_bit((value >> i) & 1);
-    }
+std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> input,
+                                     int window_bits, const char* format) {
+  z_stream zs{};
+  if (inflateInit2(&zs, window_bits) != Z_OK) {
+    throw std::runtime_error("zlib: inflateInit2 failed");
   }
-
-  /// Writes a Huffman code: DEFLATE packs code bits MSB-first.
-  void write_huffman(std::uint32_t code, int length) {
-    for (int i = length - 1; i >= 0; --i) {
-      push_bit((code >> i) & 1);
-    }
+  const std::unique_ptr<z_stream, decltype(&inflateEnd)> end(&zs, inflateEnd);
+  std::vector<std::uint8_t> out(2 * input.size());
+  const int rc = pump(zs, input, out,
+                      [&zs](int) { return inflate(&zs, Z_NO_FLUSH); });
+  if (rc != Z_STREAM_END) {
+    throw std::runtime_error(std::string(format) + ": " +
+                             (zs.msg != nullptr ? zs.msg : "truncated stream"));
   }
-
-  void align_to_byte() {
-    while (bit_pos_ != 0) push_bit(0);
-  }
-
-  void write_byte(std::uint8_t byte) {
-    ZL_ASSERT(bit_pos_ == 0);
-    bytes_.push_back(byte);
-  }
-
-  [[nodiscard]] std::size_t bit_count() const {
-    return bytes_.size() * 8 - (bit_pos_ == 0 ? 0 : 8 - bit_pos_);
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  void push_bit(std::uint32_t b) {
-    if (bit_pos_ == 0) bytes_.push_back(0);
-    if (b) bytes_.back() |= static_cast<std::uint8_t>(1u << bit_pos_);
-    bit_pos_ = (bit_pos_ + 1) % 8;
-  }
-
-  std::vector<std::uint8_t> bytes_;
-  int bit_pos_ = 0;
-};
-
-class LsbBitReader {
- public:
-  explicit LsbBitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint32_t read_bits(int count) {
-    std::uint32_t value = 0;
-    for (int i = 0; i < count; ++i) {
-      value |= static_cast<std::uint32_t>(read_bit()) << i;
-    }
-    return value;
-  }
-
-  [[nodiscard]] bool read_bit() {
-    if (pos_ >= bytes_.size() * 8) {
-      throw std::runtime_error("deflate: truncated stream");
-    }
-    const bool b = (bytes_[pos_ / 8] >> (pos_ % 8)) & 1;
-    ++pos_;
-    return b;
-  }
-
-  void align_to_byte() { pos_ = (pos_ + 7) / 8 * 8; }
-
-  [[nodiscard]] std::uint8_t read_aligned_byte() {
-    ZL_ASSERT(pos_ % 8 == 0);
-    if (pos_ / 8 >= bytes_.size()) {
-      throw std::runtime_error("deflate: truncated stored block");
-    }
-    const std::uint8_t byte = bytes_[pos_ / 8];
-    pos_ += 8;
-    return byte;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// LZ77 tokenization
-// ---------------------------------------------------------------------------
-
-struct Token {
-  // literal when dist == 0 (value in length), else (length, dist) match
-  std::uint16_t length = 0;
-  std::uint16_t dist = 0;
-};
-
-class HashChainMatcher {
- public:
-  explicit HashChainMatcher(std::span<const std::uint8_t> data,
-                            const DeflateOptions& options)
-      : data_(data),
-        options_(options),
-        head_(kHashSize, kNil),
-        prev_(data.size(), kNil) {}
-
-  struct Match {
-    int length = 0;
-    int dist = 0;
-  };
-
-  [[nodiscard]] Match find(std::size_t pos) const {
-    Match best;
-    if (pos + kMinMatch > data_.size()) return best;
-    const std::size_t window_start = pos >= kWindowSize ? pos - kWindowSize : 0;
-    std::uint32_t candidate = head_[hash_at(pos)];
-    int chain = options_.max_chain;
-    const int max_len =
-        static_cast<int>(std::min<std::size_t>(kMaxMatch, data_.size() - pos));
-    while (candidate != kNil && candidate >= window_start && chain-- > 0) {
-      const int len = match_length(candidate, pos, max_len);
-      if (len > best.length) {
-        best.length = len;
-        best.dist = static_cast<int>(pos - candidate);
-        if (len >= options_.good_enough_length || len == max_len) break;
-      }
-      candidate = prev_[candidate];
-    }
-    if (best.length < kMinMatch) return {};
-    return best;
-  }
-
-  void insert(std::size_t pos) {
-    if (pos + kMinMatch > data_.size()) return;
-    const std::uint32_t h = hash_at(pos);
-    prev_[pos] = head_[h];
-    head_[h] = static_cast<std::uint32_t>(pos);
-  }
-
- private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::size_t kHashSize = 1 << 15;
-
-  [[nodiscard]] std::uint32_t hash_at(std::size_t pos) const {
-    const std::uint32_t v = static_cast<std::uint32_t>(data_[pos]) |
-                            (static_cast<std::uint32_t>(data_[pos + 1]) << 8) |
-                            (static_cast<std::uint32_t>(data_[pos + 2]) << 16);
-    return (v * 2654435761u) >> 17;
-  }
-
-  [[nodiscard]] int match_length(std::size_t candidate, std::size_t pos,
-                                 int max_len) const {
-    int len = 0;
-    while (len < max_len && data_[candidate + static_cast<std::size_t>(len)] ==
-                                data_[pos + static_cast<std::size_t>(len)]) {
-      ++len;
-    }
-    return len;
-  }
-
-  std::span<const std::uint8_t> data_;
-  const DeflateOptions& options_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> prev_;
-};
-
-std::vector<Token> tokenize(std::span<const std::uint8_t> input,
-                            const DeflateOptions& options) {
-  std::vector<Token> tokens;
-  tokens.reserve(input.size() / 2 + 16);
-  HashChainMatcher matcher(input, options);
-  std::size_t pos = 0;
-  while (pos < input.size()) {
-    HashChainMatcher::Match match = matcher.find(pos);
-    if (options.lazy_matching && match.length >= kMinMatch &&
-        match.length < options.good_enough_length && pos + 1 < input.size()) {
-      // Peek one byte ahead; emit a literal if the next match is longer.
-      matcher.insert(pos);
-      const HashChainMatcher::Match next = matcher.find(pos + 1);
-      if (next.length > match.length) {
-        tokens.push_back(Token{input[pos], 0});
-        ++pos;
-        continue;  // matcher already indexed pos
-      }
-      // Keep the current match; pos already indexed.
-      for (std::size_t i = pos + 1;
-           i < pos + static_cast<std::size_t>(match.length); ++i) {
-        matcher.insert(i);
-      }
-      tokens.push_back(Token{static_cast<std::uint16_t>(match.length),
-                             static_cast<std::uint16_t>(match.dist)});
-      pos += static_cast<std::size_t>(match.length);
-      continue;
-    }
-    if (match.length >= kMinMatch) {
-      for (std::size_t i = pos; i < pos + static_cast<std::size_t>(match.length);
-           ++i) {
-        matcher.insert(i);
-      }
-      tokens.push_back(Token{static_cast<std::uint16_t>(match.length),
-                             static_cast<std::uint16_t>(match.dist)});
-      pos += static_cast<std::size_t>(match.length);
-    } else {
-      matcher.insert(pos);
-      tokens.push_back(Token{input[pos], 0});
-      ++pos;
-    }
-  }
-  return tokens;
-}
-
-// ---------------------------------------------------------------------------
-// Block encoding
-// ---------------------------------------------------------------------------
-
-/// Fixed litlen code lengths (RFC 1951 §3.2.6).
-HuffmanCode fixed_litlen_code() {
-  std::vector<std::uint8_t> lengths(288);
-  for (int s = 0; s <= 143; ++s) lengths[static_cast<std::size_t>(s)] = 8;
-  for (int s = 144; s <= 255; ++s) lengths[static_cast<std::size_t>(s)] = 9;
-  for (int s = 256; s <= 279; ++s) lengths[static_cast<std::size_t>(s)] = 7;
-  for (int s = 280; s <= 287; ++s) lengths[static_cast<std::size_t>(s)] = 8;
-  return codes_from_lengths(lengths);
-}
-
-HuffmanCode fixed_dist_code() {
-  std::vector<std::uint8_t> lengths(30, 5);
-  return codes_from_lengths(lengths);
-}
-
-struct TokenHistogram {
-  std::array<std::uint64_t, kNumLitLenSymbols> litlen{};
-  std::array<std::uint64_t, kNumDistSymbols> dist{};
-};
-
-TokenHistogram histogram(std::span<const Token> tokens) {
-  TokenHistogram h;
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      ++h.litlen[t.length];
-    } else {
-      ++h.litlen[static_cast<std::size_t>(
-          kLengthCodes[static_cast<std::size_t>(length_code_index(t.length))]
-              .symbol)];
-      ++h.dist[static_cast<std::size_t>(dist_code_index(t.dist))];
-    }
-  }
-  ++h.litlen[kEndOfBlock];
-  return h;
-}
-
-void write_tokens(LsbBitWriter& out, std::span<const Token> tokens,
-                  const HuffmanCode& litlen, const HuffmanCode& dist) {
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      out.write_huffman(litlen.codes[t.length], litlen.lengths[t.length]);
-    } else {
-      const LengthCode& lc =
-          kLengthCodes[static_cast<std::size_t>(length_code_index(t.length))];
-      const auto lsym = static_cast<std::size_t>(lc.symbol);
-      out.write_huffman(litlen.codes[lsym], litlen.lengths[lsym]);
-      out.write_bits(static_cast<std::uint32_t>(t.length - lc.base),
-                     lc.extra_bits);
-      const DistCode& dc =
-          kDistCodes[static_cast<std::size_t>(dist_code_index(t.dist))];
-      const auto dsym = static_cast<std::size_t>(dc.symbol);
-      out.write_huffman(dist.codes[dsym], dist.lengths[dsym]);
-      out.write_bits(static_cast<std::uint32_t>(t.dist - dc.base),
-                     dc.extra_bits);
-    }
-  }
-  out.write_huffman(litlen.codes[kEndOfBlock], litlen.lengths[kEndOfBlock]);
-}
-
-/// Run-length encodes code lengths with symbols 16/17/18 (RFC 1951 §3.2.7).
-struct ClclSymbol {
-  int symbol;
-  int extra_value;
-  int extra_bits;
-};
-
-std::vector<ClclSymbol> rle_code_lengths(std::span<const std::uint8_t> lengths) {
-  std::vector<ClclSymbol> out;
-  std::size_t i = 0;
-  while (i < lengths.size()) {
-    const std::uint8_t value = lengths[i];
-    std::size_t run = 1;
-    while (i + run < lengths.size() && lengths[i + run] == value) ++run;
-    if (value == 0) {
-      std::size_t remaining = run;
-      while (remaining >= 11) {
-        const int n = static_cast<int>(std::min<std::size_t>(remaining, 138));
-        out.push_back({18, n - 11, 7});
-        remaining -= static_cast<std::size_t>(n);
-      }
-      while (remaining >= 3) {
-        const int n = static_cast<int>(std::min<std::size_t>(remaining, 10));
-        out.push_back({17, n - 3, 3});
-        remaining -= static_cast<std::size_t>(n);
-      }
-      for (std::size_t j = 0; j < remaining; ++j) out.push_back({0, 0, 0});
-    } else {
-      out.push_back({value, 0, 0});
-      std::size_t remaining = run - 1;
-      while (remaining >= 3) {
-        const int n = static_cast<int>(std::min<std::size_t>(remaining, 6));
-        out.push_back({16, n - 3, 2});
-        remaining -= static_cast<std::size_t>(n);
-      }
-      for (std::size_t j = 0; j < remaining; ++j) {
-        out.push_back({value, 0, 0});
-      }
-    }
-    i += run;
+  if (zs.total_in != input.size()) {
+    throw std::runtime_error(std::string(format) +
+                             ": trailing bytes after the end of the stream");
   }
   return out;
 }
 
-void write_dynamic_block(LsbBitWriter& out, std::span<const Token> tokens,
-                         bool final_block) {
-  const TokenHistogram h = histogram(tokens);
-  HuffmanCode litlen = build_huffman(h.litlen, 15);
-  // The distance alphabet may be empty (all literals): RFC requires at
-  // least one distance code length to be present.
-  std::array<std::uint64_t, kNumDistSymbols> dist_freqs = h.dist;
-  if (std::all_of(dist_freqs.begin(), dist_freqs.end(),
-                  [](std::uint64_t f) { return f == 0; })) {
-    dist_freqs[0] = 1;
-  }
-  HuffmanCode dist = build_huffman(dist_freqs, 15);
-
-  // HLIT/HDIST: trim trailing zero lengths (minimums 257 and 1).
-  int hlit = kNumLitLenSymbols;
-  while (hlit > 257 && litlen.lengths[static_cast<std::size_t>(hlit) - 1] == 0) {
-    --hlit;
-  }
-  int hdist = kNumDistSymbols;
-  while (hdist > 1 && dist.lengths[static_cast<std::size_t>(hdist) - 1] == 0) {
-    --hdist;
-  }
-
-  // Concatenate litlen + dist lengths, RLE them, Huffman-code the RLE.
-  std::vector<std::uint8_t> all_lengths;
-  all_lengths.insert(all_lengths.end(), litlen.lengths.begin(),
-                     litlen.lengths.begin() + hlit);
-  all_lengths.insert(all_lengths.end(), dist.lengths.begin(),
-                     dist.lengths.begin() + hdist);
-  const std::vector<ClclSymbol> rle = rle_code_lengths(all_lengths);
-
-  std::array<std::uint64_t, 19> clcl_freqs{};
-  for (const auto& s : rle) ++clcl_freqs[static_cast<std::size_t>(s.symbol)];
-  const HuffmanCode clcl = build_huffman(clcl_freqs, 7);
-
-  int hclen = 19;
-  while (hclen > 4 &&
-         clcl.lengths[static_cast<std::size_t>(
-             kClclOrderReal[static_cast<std::size_t>(hclen) - 1])] == 0) {
-    --hclen;
-  }
-
-  out.write_bits(final_block ? 1 : 0, 1);
-  out.write_bits(0b10, 2);  // BTYPE=10 dynamic
-  out.write_bits(static_cast<std::uint32_t>(hlit - 257), 5);
-  out.write_bits(static_cast<std::uint32_t>(hdist - 1), 5);
-  out.write_bits(static_cast<std::uint32_t>(hclen - 4), 4);
-  for (int i = 0; i < hclen; ++i) {
-    out.write_bits(
-        clcl.lengths[static_cast<std::size_t>(
-            kClclOrderReal[static_cast<std::size_t>(i)])],
-        3);
-  }
-  for (const auto& s : rle) {
-    const auto sym = static_cast<std::size_t>(s.symbol);
-    out.write_huffman(clcl.codes[sym], clcl.lengths[sym]);
-    if (s.extra_bits > 0) {
-      out.write_bits(static_cast<std::uint32_t>(s.extra_value), s.extra_bits);
-    }
-  }
-  write_tokens(out, tokens, litlen, dist);
-}
-
-void write_fixed_block(LsbBitWriter& out, std::span<const Token> tokens,
-                       bool final_block) {
-  out.write_bits(final_block ? 1 : 0, 1);
-  out.write_bits(0b01, 2);  // BTYPE=01 fixed
-  write_tokens(out, tokens, fixed_litlen_code(), fixed_dist_code());
-}
-
-void write_stored_block(LsbBitWriter& out, std::span<const std::uint8_t> data,
-                        bool final_block) {
-  ZL_ASSERT(data.size() <= 0xFFFF);
-  out.write_bits(final_block ? 1 : 0, 1);
-  out.write_bits(0b00, 2);  // BTYPE=00 stored
-  out.align_to_byte();
-  const auto len = static_cast<std::uint16_t>(data.size());
-  out.write_byte(static_cast<std::uint8_t>(len & 0xFF));
-  out.write_byte(static_cast<std::uint8_t>(len >> 8));
-  out.write_byte(static_cast<std::uint8_t>(~len & 0xFF));
-  out.write_byte(static_cast<std::uint8_t>((~len >> 8) & 0xFF));
-  for (const auto b : data) out.write_byte(b);
-}
-
 }  // namespace
 
-std::vector<std::uint8_t> deflate_compress(std::span<const std::uint8_t> input,
-                                           const DeflateOptions& options) {
-  LsbBitWriter out;
-  if (input.empty()) {
-    write_stored_block(out, input, /*final_block=*/true);
-    return out.take();
-  }
-  const std::vector<Token> tokens = tokenize(input, options);
-  // Emit blocks of options.block_tokens tokens; choose the cheaper of
-  // dynamic and fixed per block by trial encoding.
-  std::size_t emitted = 0;
-  while (emitted < tokens.size()) {
-    const std::size_t count =
-        std::min(options.block_tokens, tokens.size() - emitted);
-    const std::span<const Token> block(tokens.data() + emitted, count);
-    const bool final_block = emitted + count == tokens.size();
-
-    LsbBitWriter dynamic_trial;
-    write_dynamic_block(dynamic_trial, block, final_block);
-    LsbBitWriter fixed_trial;
-    write_fixed_block(fixed_trial, block, final_block);
-    if (dynamic_trial.bit_count() <= fixed_trial.bit_count()) {
-      write_dynamic_block(out, block, final_block);
-    } else {
-      write_fixed_block(out, block, final_block);
-    }
-    emitted += count;
-  }
-  return out.take();
+std::vector<std::uint8_t> deflate_compress(
+    std::span<const std::uint8_t> input) {
+  return compress(input, kRawDeflate);
 }
-
-namespace {
-
-int decode_symbol(LsbBitReader& in, HuffmanDecoder& decoder) {
-  decoder.reset();
-  for (;;) {
-    const int sym = decoder.feed(in.read_bit());
-    if (sym >= 0) return sym;
-  }
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> deflate_decompress(
     std::span<const std::uint8_t> compressed) {
-  LsbBitReader in(compressed);
-  std::vector<std::uint8_t> out;
-  bool final_block = false;
-  while (!final_block) {
-    final_block = in.read_bit();
-    const std::uint32_t btype = in.read_bits(2);
-    if (btype == 0b00) {
-      in.align_to_byte();
-      const std::uint32_t len = in.read_aligned_byte() |
-                                (static_cast<std::uint32_t>(
-                                     in.read_aligned_byte())
-                                 << 8);
-      const std::uint32_t nlen = in.read_aligned_byte() |
-                                 (static_cast<std::uint32_t>(
-                                      in.read_aligned_byte())
-                                  << 8);
-      if ((len ^ nlen) != 0xFFFF) {
-        throw std::runtime_error("deflate: stored block LEN/NLEN mismatch");
-      }
-      for (std::uint32_t i = 0; i < len; ++i) {
-        out.push_back(in.read_aligned_byte());
-      }
-      continue;
-    }
-    HuffmanCode litlen_code;
-    HuffmanCode dist_code;
-    if (btype == 0b01) {
-      litlen_code = fixed_litlen_code();
-      dist_code = fixed_dist_code();
-    } else if (btype == 0b10) {
-      const int hlit = static_cast<int>(in.read_bits(5)) + 257;
-      const int hdist = static_cast<int>(in.read_bits(5)) + 1;
-      const int hclen = static_cast<int>(in.read_bits(4)) + 4;
-      std::vector<std::uint8_t> clcl_lengths(19, 0);
-      for (int i = 0; i < hclen; ++i) {
-        clcl_lengths[static_cast<std::size_t>(
-            kClclOrderReal[static_cast<std::size_t>(i)])] =
-            static_cast<std::uint8_t>(in.read_bits(3));
-      }
-      const HuffmanCode clcl = codes_from_lengths(clcl_lengths);
-      HuffmanDecoder clcl_decoder(clcl);
-      std::vector<std::uint8_t> lengths;
-      lengths.reserve(static_cast<std::size_t>(hlit + hdist));
-      while (lengths.size() < static_cast<std::size_t>(hlit + hdist)) {
-        const int sym = decode_symbol(in, clcl_decoder);
-        if (sym < 16) {
-          lengths.push_back(static_cast<std::uint8_t>(sym));
-        } else if (sym == 16) {
-          if (lengths.empty()) {
-            throw std::runtime_error("deflate: repeat with no previous length");
-          }
-          const int repeat = static_cast<int>(in.read_bits(2)) + 3;
-          lengths.insert(lengths.end(), static_cast<std::size_t>(repeat),
-                         lengths.back());
-        } else if (sym == 17) {
-          const int repeat = static_cast<int>(in.read_bits(3)) + 3;
-          lengths.insert(lengths.end(), static_cast<std::size_t>(repeat), 0);
-        } else {
-          const int repeat = static_cast<int>(in.read_bits(7)) + 11;
-          lengths.insert(lengths.end(), static_cast<std::size_t>(repeat), 0);
-        }
-      }
-      if (lengths.size() != static_cast<std::size_t>(hlit + hdist)) {
-        throw std::runtime_error("deflate: code length overflow");
-      }
-      litlen_code = codes_from_lengths(
-          std::span(lengths).first(static_cast<std::size_t>(hlit)));
-      dist_code = codes_from_lengths(
-          std::span(lengths).subspan(static_cast<std::size_t>(hlit)));
-    } else {
-      throw std::runtime_error("deflate: invalid block type 11");
-    }
-
-    HuffmanDecoder litlen_decoder(litlen_code);
-    HuffmanDecoder dist_decoder(dist_code);
-    for (;;) {
-      const int sym = decode_symbol(in, litlen_decoder);
-      if (sym == kEndOfBlock) break;
-      if (sym < 256) {
-        out.push_back(static_cast<std::uint8_t>(sym));
-        continue;
-      }
-      if (sym > 285) throw std::runtime_error("deflate: bad length symbol");
-      const LengthCode& lc = kLengthCodes[static_cast<std::size_t>(sym - 257)];
-      const int length =
-          lc.base + static_cast<int>(in.read_bits(lc.extra_bits));
-      const int dsym = decode_symbol(in, dist_decoder);
-      if (dsym >= kNumDistSymbols) {
-        throw std::runtime_error("deflate: bad distance symbol");
-      }
-      const DistCode& dc = kDistCodes[static_cast<std::size_t>(dsym)];
-      const int dist = dc.base + static_cast<int>(in.read_bits(dc.extra_bits));
-      if (static_cast<std::size_t>(dist) > out.size()) {
-        throw std::runtime_error("deflate: distance beyond output");
-      }
-      for (int i = 0; i < length; ++i) {
-        out.push_back(out[out.size() - static_cast<std::size_t>(dist)]);
-      }
-    }
-  }
-  return out;
+  return decompress(compressed, kRawDeflate, "deflate");
 }
 
-}  // namespace zipline::baseline
-
-namespace zipline::baseline {
-
-std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,
-                                        const DeflateOptions& options) {
-  std::vector<std::uint8_t> out = {
-      0x1F, 0x8B,  // magic
-      0x08,        // CM = deflate
-      0x00,        // FLG
-      0, 0, 0, 0,  // MTIME
-      0x00,        // XFL
-      0xFF,        // OS = unknown
-  };
-  const auto body = deflate_compress(input, options);
-  out.insert(out.end(), body.begin(), body.end());
-  const std::uint32_t crc = crc::Crc32::of(input);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  const auto isize = static_cast<std::uint32_t>(input.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(isize >> (8 * i)));
-  }
-  return out;
+std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input) {
+  return compress(input, kGzip);
 }
 
 std::vector<std::uint8_t> gzip_decompress(
     std::span<const std::uint8_t> container) {
-  if (container.size() < 18) {
-    throw std::runtime_error("gzip: container too short");
-  }
-  if (container[0] != 0x1F || container[1] != 0x8B || container[2] != 0x08) {
-    throw std::runtime_error("gzip: bad magic or method");
-  }
-  const std::uint8_t flg = container[3];
-  std::size_t offset = 10;
-  if (flg & 0x04) {  // FEXTRA
-    const std::size_t xlen = container[offset] |
-                             (static_cast<std::size_t>(container[offset + 1])
-                              << 8);
-    offset += 2 + xlen;
-  }
-  if (flg & 0x08) {  // FNAME
-    while (offset < container.size() && container[offset] != 0) ++offset;
-    ++offset;
-  }
-  if (flg & 0x10) {  // FCOMMENT
-    while (offset < container.size() && container[offset] != 0) ++offset;
-    ++offset;
-  }
-  if (flg & 0x02) offset += 2;  // FHCRC
-  if (offset + 8 > container.size()) {
-    throw std::runtime_error("gzip: truncated container");
-  }
-  const auto body = container.subspan(offset, container.size() - offset - 8);
-  auto output = deflate_decompress(body);
-  const std::size_t trailer = container.size() - 8;
-  std::uint32_t stored_crc = 0;
-  std::uint32_t stored_size = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<std::uint32_t>(
-                      container[trailer + static_cast<std::size_t>(i)])
-                  << (8 * i);
-    stored_size |= static_cast<std::uint32_t>(
-                       container[trailer + 4 + static_cast<std::size_t>(i)])
-                   << (8 * i);
-  }
-  if (stored_size != static_cast<std::uint32_t>(output.size())) {
-    throw std::runtime_error("gzip: ISIZE mismatch");
-  }
-  if (stored_crc != crc::Crc32::of(output)) {
-    throw std::runtime_error("gzip: CRC mismatch");
-  }
-  return output;
+  return decompress(container, kGzip, "gzip");
 }
 
 }  // namespace zipline::baseline

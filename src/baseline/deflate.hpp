@@ -1,13 +1,12 @@
-// DEFLATE (RFC 1951) compressor and decompressor, from scratch.
+// DEFLATE (RFC 1951) and gzip (RFC 1952) through zlib.
 //
 // This is the baseline the paper compares ZipLine against (§7: "we extract
 // all payloads in a regular file that we compress with the gzip
-// compression tool"). The compressor implements LZ77 with a 32 KiB window,
-// hash-chain match search with lazy matching, and emits stored, fixed- or
-// dynamic-Huffman blocks, whichever is smallest. The paper's point that
-// DEFLATE "requires a minimum of 3 kB to compress data" (its window and
-// code tables) is what makes it infeasible in-switch — here it runs on the
-// host as the comparison point.
+// compression tool"), so it calls the library that tool is built on, at
+// the tool's default level 6. The paper's point that DEFLATE "requires a
+// minimum of 3 kB to compress data" (its 32 KiB window and code tables) is
+// what makes it infeasible in-switch — here it runs on the host as the
+// comparison point.
 #pragma once
 
 #include <cstdint>
@@ -16,32 +15,22 @@
 
 namespace zipline::baseline {
 
-struct DeflateOptions {
-  /// Maximum hash-chain probes per position (compression effort).
-  int max_chain = 128;
-  /// Matches at least this good stop the search early.
-  int good_enough_length = 64;
-  /// Enable one-byte-lookahead lazy matching (zlib levels >= 4).
-  bool lazy_matching = true;
-  /// Token count per DEFLATE block.
-  std::size_t block_tokens = 1 << 16;
-};
-
 /// Compresses `input` into a raw DEFLATE stream.
 [[nodiscard]] std::vector<std::uint8_t> deflate_compress(
-    std::span<const std::uint8_t> input, const DeflateOptions& options = {});
+    std::span<const std::uint8_t> input);
 
 /// Decompresses a raw DEFLATE stream. Throws std::runtime_error on
 /// malformed input.
 [[nodiscard]] std::vector<std::uint8_t> deflate_decompress(
     std::span<const std::uint8_t> compressed);
 
-/// Compresses into a gzip (RFC 1952) container (header + DEFLATE + CRC-32
-/// + size), byte-compatible with the `gzip` tool's format.
+/// Compresses into a gzip container (header + DEFLATE + CRC-32 + size),
+/// the `gzip` tool's format.
 [[nodiscard]] std::vector<std::uint8_t> gzip_compress(
-    std::span<const std::uint8_t> input, const DeflateOptions& options = {});
+    std::span<const std::uint8_t> input);
 
-/// Decompresses a gzip container, verifying CRC-32 and length.
+/// Decompresses a gzip container, verifying CRC-32 and length. Throws
+/// std::runtime_error on malformed input.
 [[nodiscard]] std::vector<std::uint8_t> gzip_decompress(
     std::span<const std::uint8_t> container);
 

@@ -15,13 +15,12 @@
 //     single-threaded Engine; dictionary memory scales with the number of
 //     flows.
 //   * shared — all workers of the pipeline's direction consult and teach
-//     ONE gd::ConcurrentShardedDictionary (striped writes; lock-free
-//     seqlock reads by default — ParallelOptions::read_path), the
-//     paper's one-table-per-direction switch reality: flows deduplicate
-//     against each other and dictionary memory no longer scales with
-//     workers or flows. Only the resolve (dictionary) phases are
-//     sequenced — PER SHARD, via per-shard turnstiles — while transforms
-//     and serialization run concurrently.
+//     ONE gd::ConcurrentShardedDictionary (striped writes, lock-free
+//     seqlock reads), the paper's one-table-per-direction switch
+//     reality: flows deduplicate against each other and dictionary
+//     memory no longer scales with workers or flows. Only the resolve
+//     (dictionary) phases are sequenced — PER SHARD, via per-shard
+//     turnstiles — while transforms and serialization run concurrently.
 //     Each resolve gathers its unit's dictionary operations into one
 //     batched plan (gd::BatchOp) grouped by shard, and basis hashing
 //     happens in the concurrent transform/parse phase, so each gate's
@@ -56,12 +55,6 @@
 //
 //   * pinned — flow % workers, the historical static pin.
 //   * load_aware — power-of-two-choices on the workers' free job slots.
-//   * topology_aware — load_aware, but both candidates are drawn from the
-//     least-loaded CPU package / cache domain (common/topology.hpp, with
-//     a portable single-domain fallback that degrades to load_aware), so
-//     a unit and the units it contends with stay on one socket's caches.
-//     ParallelOptions::worker_domains overrides the probe for tests and
-//     explicit placement.
 //
 // Under per_flow ownership a flow's private engine lives on one worker,
 // so the choice is made at the flow's FIRST unit and is sticky thereafter
@@ -111,7 +104,6 @@
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "common/topology.hpp"
 #include "engine/batch.hpp"
 #include "engine/engine.hpp"
 #include "gd/concurrent_dictionary.hpp"
@@ -129,10 +121,6 @@ enum class DictionaryOwnership : std::uint8_t {
 enum class FlowSteering : std::uint8_t {
   pinned,      ///< flow % workers
   load_aware,  ///< power-of-two-choices on free job slots
-  /// Two choices WITHIN the least-loaded CPU package / cache domain
-  /// (common/topology.hpp probe, or ParallelOptions::worker_domains);
-  /// degrades to load_aware when only one domain is visible.
-  topology_aware,
 };
 
 struct ParallelOptions {
@@ -144,22 +132,10 @@ struct ParallelOptions {
   /// Dictionary shards (gd/sharded_dictionary.hpp): per flow engine in
   /// per_flow mode, lock stripes of the one service in shared mode.
   std::size_t dictionary_shards = 1;
-  /// How the shared service serves reads (shared mode only): the default
-  /// seqlock path answers lookups/peeks/fetches from a per-shard read
-  /// mirror without blocking (writes stay striped and bump the shard's
-  /// sequence); `locked` takes a stripe mutex per op, the historical
-  /// arrangement. Byte-identical either way — seqlock reads are
-  /// state-equivalent to their locked counterparts.
-  gd::ReadPath read_path = gd::ReadPath::seqlock;
   gd::EvictionPolicy policy = gd::EvictionPolicy::lru;
   bool learn = true;
   DictionaryOwnership ownership = DictionaryOwnership::per_flow;
   FlowSteering steering = FlowSteering::pinned;
-  /// topology_aware steering only: domain index per worker (must have
-  /// exactly `workers` entries when non-empty). Empty = probe the machine
-  /// via common::Topology::detect(). Lets tests and explicit placements
-  /// inject a topology deterministically.
-  std::vector<std::uint32_t> worker_domains;
 };
 
 namespace detail {
@@ -374,10 +350,6 @@ class ParallelPipeline {
   std::vector<std::uint32_t> placement_;
   std::unordered_map<std::uint32_t, std::uint32_t> flow_worker_;  // per_flow
   Rng steer_rng_{0x57EE21};
-  // topology_aware steering tables (built at construction; empty
-  // otherwise): worker -> domain, and each domain's member workers.
-  std::vector<std::uint32_t> worker_domain_;
-  std::vector<std::vector<std::uint32_t>> domain_members_;
   std::exception_ptr first_error_;
 };
 
@@ -420,25 +392,8 @@ ParallelPipeline<Stage>::ParallelPipeline(const gd::GdParams& params,
   ZL_EXPECTS(options_.queue_depth >= 1);
   if (options_.ownership == DictionaryOwnership::shared) {
     service_.emplace(params_.dictionary_capacity(), options_.policy,
-                     options_.dictionary_shards, options_.read_path);
+                     options_.dictionary_shards);
     gates_ = std::make_unique<ShardGate[]>(options_.dictionary_shards);
-  }
-  if (options_.steering == FlowSteering::topology_aware) {
-    worker_domain_ = options_.worker_domains.empty()
-                         ? common::worker_domains(common::Topology::detect(),
-                                                  options_.workers)
-                         : options_.worker_domains;
-    ZL_EXPECTS(worker_domain_.size() == options_.workers &&
-               "worker_domains must name a domain per worker");
-    std::uint32_t domains = 1;
-    for (const std::uint32_t d : worker_domain_) {
-      domains = std::max(domains, d + 1);
-    }
-    domain_members_.resize(domains);
-    for (std::size_t i = 0; i < worker_domain_.size(); ++i) {
-      domain_members_[worker_domain_[i]].push_back(
-          static_cast<std::uint32_t>(i));
-    }
   }
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -663,38 +618,11 @@ std::uint32_t ParallelPipeline<Stage>::place(std::uint32_t flow) {
     return static_cast<std::uint32_t>(flow % options_.workers);
   }
   // Power of two choices on the current loads (occupied job slots):
-  // sample two distinct candidates, keep the emptier one. topology_aware
-  // first narrows the candidates to the least-loaded cache domain by MEAN
-  // load (compared cross-multiplied so unequal domain sizes don't skew
-  // it; ties go to the lower domain index), so the unit and the units it
-  // contends with stay on one socket's caches; with one visible domain it
-  // is plain load_aware.
-  const std::vector<std::uint32_t>* members = nullptr;
-  if (options_.steering == FlowSteering::topology_aware &&
-      domain_members_.size() > 1) {
-    std::size_t best_load = 0;
-    for (const auto& domain : domain_members_) {
-      if (domain.empty()) continue;
-      std::size_t domain_load = 0;
-      for (const std::uint32_t w : domain) domain_load += load(w);
-      if (members == nullptr ||
-          domain_load * members->size() < best_load * domain.size()) {
-        members = &domain;
-        best_load = domain_load;
-      }
-    }
-  }
-  const std::size_t count =
-      members != nullptr ? members->size() : options_.workers;
-  const auto candidate = [members](std::size_t i) {
-    return members != nullptr ? (*members)[i] : static_cast<std::uint32_t>(i);
-  };
-  const auto ai = static_cast<std::size_t>(steer_rng_.next_below(count));
-  const std::uint32_t a = candidate(ai);
-  if (count == 1) return a;
-  auto bi = static_cast<std::size_t>(steer_rng_.next_below(count - 1));
-  if (bi >= ai) ++bi;
-  const std::uint32_t b = candidate(bi);
+  // sample two distinct candidates, keep the emptier one.
+  const std::size_t count = options_.workers;
+  const auto a = static_cast<std::uint32_t>(steer_rng_.next_below(count));
+  auto b = static_cast<std::uint32_t>(steer_rng_.next_below(count - 1));
+  if (b >= a) ++b;
   return load(a) <= load(b) ? a : b;
 }
 

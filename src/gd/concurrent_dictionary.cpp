@@ -32,9 +32,8 @@ std::uint64_t tag_of(std::uint64_t hash) noexcept {
 
 ConcurrentShardedDictionary::ConcurrentShardedDictionary(
     std::size_t capacity, EvictionPolicy policy, std::size_t shard_count,
-    ReadPath read_path, std::uint64_t random_seed)
+    std::uint64_t random_seed)
     : dict_(capacity, policy, shard_count, random_seed),
-      read_path_(read_path),
       stripes_(std::make_unique<Stripe[]>(shard_count)),
       mirrors_(std::make_unique<Mirror[]>(shard_count)) {
   const std::size_t shard_cap = dict_.shard_capacity();
@@ -218,7 +217,6 @@ void ConcurrentShardedDictionary::publish_entry(std::size_t shard,
                                                 std::uint32_t local,
                                                 const bits::BitVector& basis,
                                                 std::uint64_t hash) {
-  if (read_path_ != ReadPath::seqlock) return;
   if (!mirrors_[shard].enabled.load(std::memory_order_relaxed)) return;
   if (!prepare_slab(shard, basis)) return;
   seq_begin(shard);
@@ -228,7 +226,6 @@ void ConcurrentShardedDictionary::publish_entry(std::size_t shard,
 
 void ConcurrentShardedDictionary::publish_erase(std::size_t shard,
                                                 std::uint32_t local) {
-  if (read_path_ != ReadPath::seqlock) return;
   Mirror& m = mirrors_[shard];
   if (!m.enabled.load(std::memory_order_relaxed)) return;
   seq_begin(shard);
@@ -407,49 +404,32 @@ void ConcurrentShardedDictionary::prefetch_ops(
 
 std::optional<std::uint32_t> ConcurrentShardedDictionary::lookup(
     const bits::BitVector& basis) {
-  if (read_path_ == ReadPath::seqlock) {
-    const std::uint64_t hash = basis.hash();
-    const std::size_t shard = dict_.shard_of_hash(hash);
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      std::uint32_t local = 0;
-      const Probe p = probe_mirror(shard, basis, hash, local);
-      if (p == Probe::miss) {
-        // A miss mutates nothing in any policy: answer without the lock.
-        stripes_[shard].read_misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-      if (p == Probe::hit) {
-        if (dict_.policy() != EvictionPolicy::lru) {
-          // fifo/random never refresh recency: a hit is a pure read.
-          // clock refreshes it with one idempotent relaxed bit store into
-          // the inner shard's stable referenced array — still lock-free.
-          const std::uint32_t id = to_global(shard, local);
-          if (dict_.policy() == EvictionPolicy::clock) {
-            dict_.mark_referenced(id);
-            stripes_[shard].read_clock.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          }
-          stripes_[shard].read_hits.fetch_add(1, std::memory_order_relaxed);
-          return id;
-        }
-        break;  // LRU hit must splice the recency list -> locked transition
-      }
-    }
-    auto guard = acquire_stripe(shard);
-    const auto hit = dict_.lookup(basis, hash);
-    sync_shadow(shard);
-    return hit;
-  }
-  if (dict_.shard_count() == 1) {
-    // One stripe: no routing hash needed; the shard's prefilter can
-    // resolve most misses without hashing the basis at all.
-    auto guard = acquire_stripe(0);
-    const auto hit = dict_.lookup(basis);
-    sync_shadow(0);
-    return hit;
-  }
   const std::uint64_t hash = basis.hash();
   const std::size_t shard = dict_.shard_of_hash(hash);
+  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
+    std::uint32_t local = 0;
+    const Probe p = probe_mirror(shard, basis, hash, local);
+    if (p == Probe::miss) {
+      // A miss mutates nothing in any policy: answer without the lock.
+      stripes_[shard].read_misses.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    if (p == Probe::hit) {
+      if (dict_.policy() != EvictionPolicy::lru) {
+        // fifo/random never refresh recency: a hit is a pure read. clock
+        // refreshes it with one idempotent relaxed bit store into the
+        // inner shard's stable referenced array — still lock-free.
+        const std::uint32_t id = to_global(shard, local);
+        if (dict_.policy() == EvictionPolicy::clock) {
+          dict_.mark_referenced(id);
+          stripes_[shard].read_clock.fetch_add(1, std::memory_order_relaxed);
+        }
+        stripes_[shard].read_hits.fetch_add(1, std::memory_order_relaxed);
+        return id;
+      }
+      break;  // LRU hit must splice the recency list -> locked transition
+    }
+  }
   auto guard = acquire_stripe(shard);
   const auto hit = dict_.lookup(basis, hash);
   sync_shadow(shard);
@@ -460,15 +440,13 @@ std::optional<std::uint32_t> ConcurrentShardedDictionary::peek(
     const bits::BitVector& basis) const {
   const std::uint64_t hash = basis.hash();
   const std::size_t shard = dict_.shard_of_hash(hash);
-  if (read_path_ == ReadPath::seqlock) {
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      std::uint32_t local = 0;
-      const Probe p = probe_mirror(shard, basis, hash, local);
-      if (p == Probe::retry) continue;
-      stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
-      if (p == Probe::miss) return std::nullopt;
-      return to_global(shard, local);
-    }
+  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
+    std::uint32_t local = 0;
+    const Probe p = probe_mirror(shard, basis, hash, local);
+    if (p == Probe::retry) continue;
+    stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
+    if (p == Probe::miss) return std::nullopt;
+    return to_global(shard, local);
   }
   auto guard = acquire_stripe(shard);
   return dict_.peek(basis, hash);
@@ -486,52 +464,32 @@ InsertResult ConcurrentShardedDictionary::insert(
 
 std::optional<std::uint32_t> ConcurrentShardedDictionary::lookup_or_insert(
     const bits::BitVector& basis, bool learn) {
-  if (read_path_ == ReadPath::seqlock &&
-      dict_.policy() != EvictionPolicy::lru) {
-    const std::uint64_t hash = basis.hash();
-    const std::size_t shard = dict_.shard_of_hash(hash);
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      std::uint32_t local = 0;
-      const Probe p = probe_mirror(shard, basis, hash, local);
-      if (p == Probe::hit) {
-        const std::uint32_t id = to_global(shard, local);
-        if (dict_.policy() == EvictionPolicy::clock) {
-          dict_.mark_referenced(id);
-          stripes_[shard].read_clock.fetch_add(1, std::memory_order_relaxed);
-        }
-        stripes_[shard].read_hits.fetch_add(1, std::memory_order_relaxed);
-        return id;
-      }
-      if (p == Probe::miss) {
-        if (!learn) {
-          stripes_[shard].read_misses.fetch_add(1, std::memory_order_relaxed);
-          return std::nullopt;
-        }
-        break;  // miss + learn -> locked compound transition
-      }
-    }
-    auto guard = acquire_stripe(shard);
-    const auto hit = dict_.lookup(basis, hash);
-    if (!hit && learn) (void)locked_insert(shard, basis, hash);
-    sync_shadow(shard);
-    return hit;
-  }
-  if (dict_.shard_count() == 1) {
-    auto guard = acquire_stripe(0);
-    const auto hit = dict_.lookup(basis);
-    if (!hit && learn) {
-      // The lazy lookup may have skipped hashing (prefilter miss); the
-      // insert hashes internally, and the mirror reads the stored hash
-      // back rather than recomputing it.
-      const InsertResult result = dict_.insert(basis);
-      const std::uint32_t local = to_local(result.id);
-      publish_entry(0, local, basis, dict_.shard(0).entry_hash(local));
-    }
-    sync_shadow(0);
-    return hit;
-  }
   const std::uint64_t hash = basis.hash();
   const std::size_t shard = dict_.shard_of_hash(hash);
+  // An LRU hit must splice the recency list, so LRU goes straight to the
+  // locked compound transition.
+  const int attempts =
+      dict_.policy() != EvictionPolicy::lru ? kReadAttempts : 0;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    std::uint32_t local = 0;
+    const Probe p = probe_mirror(shard, basis, hash, local);
+    if (p == Probe::hit) {
+      const std::uint32_t id = to_global(shard, local);
+      if (dict_.policy() == EvictionPolicy::clock) {
+        dict_.mark_referenced(id);
+        stripes_[shard].read_clock.fetch_add(1, std::memory_order_relaxed);
+      }
+      stripes_[shard].read_hits.fetch_add(1, std::memory_order_relaxed);
+      return id;
+    }
+    if (p == Probe::miss) {
+      if (!learn) {
+        stripes_[shard].read_misses.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;
+      }
+      break;  // miss + learn -> locked compound transition
+    }
+  }
   auto guard = acquire_stripe(shard);
   const auto hit = dict_.lookup(basis, hash);
   if (!hit && learn) (void)locked_insert(shard, basis, hash);
@@ -543,19 +501,17 @@ void ConcurrentShardedDictionary::insert_if_absent(
     const bits::BitVector& basis) {
   const std::uint64_t hash = basis.hash();
   const std::size_t shard = dict_.shard_of_hash(hash);
-  if (read_path_ == ReadPath::seqlock) {
-    // Present-check is a peek (no statistics, no recency in ANY policy),
-    // so a mirror hit answers the whole operation lock-free — the common
-    // case for decode-side learning of already-known bases.
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      std::uint32_t local = 0;
-      const Probe p = probe_mirror(shard, basis, hash, local);
-      if (p == Probe::hit) {
-        stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (p == Probe::miss) break;  // absent -> locked insert
+  // Present-check is a peek (no statistics, no recency in ANY policy), so
+  // a mirror hit answers the whole operation lock-free — the common case
+  // for decode-side learning of already-known bases.
+  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
+    std::uint32_t local = 0;
+    const Probe p = probe_mirror(shard, basis, hash, local);
+    if (p == Probe::hit) {
+      stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    if (p == Probe::miss) break;  // absent -> locked insert
   }
   auto guard = acquire_stripe(shard);
   if (!dict_.peek(basis, hash)) (void)locked_insert(shard, basis, hash);
@@ -566,21 +522,21 @@ bool ConcurrentShardedDictionary::lookup_basis_into(std::uint32_t id,
                                                     bits::BitVector& out) {
   ZL_EXPECTS(id < dict_.capacity());
   const std::size_t shard = dict_.shard_of_id(id);
-  if (read_path_ == ReadPath::seqlock &&
-      dict_.policy() != EvictionPolicy::lru) {
-    // fifo/random fetches refresh nothing, and clock refreshes with a
-    // lock-free bit store: copy out of the mirror either way.
-    const std::uint32_t local = to_local(id);
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      const Probe p = fetch_mirror(shard, local, out);
-      if (p == Probe::retry) continue;
-      if (p == Probe::hit && dict_.policy() == EvictionPolicy::clock) {
-        dict_.mark_referenced(id);
-        stripes_[shard].read_clock.fetch_add(1, std::memory_order_relaxed);
-      }
-      stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
-      return p == Probe::hit;
+  // fifo/random fetches refresh nothing, and clock refreshes with a
+  // lock-free bit store: copy out of the mirror either way. An LRU fetch
+  // splices the recency list, so it takes the stripe lock.
+  const std::uint32_t local = to_local(id);
+  const int attempts =
+      dict_.policy() != EvictionPolicy::lru ? kReadAttempts : 0;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    const Probe p = fetch_mirror(shard, local, out);
+    if (p == Probe::retry) continue;
+    if (p == Probe::hit && dict_.policy() == EvictionPolicy::clock) {
+      dict_.mark_referenced(id);
+      stripes_[shard].read_clock.fetch_add(1, std::memory_order_relaxed);
     }
+    stripes_[shard].read_other.fetch_add(1, std::memory_order_relaxed);
+    return p == Probe::hit;
   }
   auto guard = acquire_stripe(shard);
   const bits::BitVector* basis = dict_.lookup_basis_ref(id);
@@ -602,8 +558,7 @@ void ConcurrentShardedDictionary::install(std::uint32_t id,
   std::optional<std::uint32_t> prior;
   if (dict_.shard_of_hash(hash) == shard) prior = dict_.peek(basis, hash);
   dict_.install(id, basis);
-  if (read_path_ == ReadPath::seqlock &&
-      mirrors_[shard].enabled.load(std::memory_order_relaxed) &&
+  if (mirrors_[shard].enabled.load(std::memory_order_relaxed) &&
       prepare_slab(shard, basis)) {
     // ONE seq window covers both the unpublish of the prior mapping and
     // the new entry, so no reader can validate an intermediate state

@@ -6,29 +6,24 @@
 // ShardedDictionary into that service for the software pipeline: N worker
 // threads of one direction operate on one dictionary. Writes (insert /
 // install / erase / touch and the compound learning transitions) are
-// striped: each takes the mutex of the one shard it touches. Reads go one
-// of two ways, selected by ReadPath at construction:
+// striped: each takes the mutex of the one shard it touches. Reads
+// (lookup / peek / contains / lookup_basis_into) are served from a
+// per-shard read MIRROR guarded by a sequence counter (a seqlock): writers
+// bump the counter odd, publish, bump it even; readers snapshot the
+// counter, probe, and retry when it was odd or changed. Readers therefore
+// never block and scale past the stripe count. The mirror is retry-safe by
+// construction: every shared field is a std::atomic in stable (never
+// reallocated) slots, so a torn read is *detected* by the sequence
+// recheck, never dereferenced. A read falls back to the stripe lock when
+// it must write (an LRU hit), when its shard's mirror is disabled, or
+// after repeated retries. stats() and size() read lock-free shadow
+// counters refreshed at each locked operation.
 //
-//   * locked  — every operation takes its stripe mutex (the historical
-//     arrangement). Simple, but BM_ConcurrentDictionaryLookup measures an
-//     ~40% uncontended lock tax per op, and readers serialize on the
-//     stripe count under contention.
-//   * seqlock (default) — lookup / peek / contains / lookup_basis_into
-//     are served from a per-shard read MIRROR guarded by a sequence
-//     counter: writers bump the counter odd, publish, bump it even;
-//     readers snapshot the counter, probe, and retry when it was odd or
-//     changed. Readers therefore never block and scale past the stripe
-//     count. The mirror is retry-safe by construction: every shared field
-//     is a std::atomic in stable (never reallocated) slots, so a torn
-//     read is *detected* by the sequence recheck, never dereferenced.
-//     stats() and size() read lock-free shadow counters refreshed at each
-//     locked operation.
+// Seqlock reads are STATE-EQUIVALENT to the serial dictionary's reads,
+// which is what preserves byte-identity with the serial engine:
 //
-// Seqlock reads are STATE-EQUIVALENT to their locked counterparts, which
-// is what preserves byte-identity with the serial engine:
-//
-//   * a miss mutates nothing in either path (read-side hit/miss
-//     accounting lives in wrapper counters, folded into stats());
+//   * a miss mutates nothing (read-side hit/miss accounting lives in
+//     wrapper counters, folded into stats());
 //   * a hit under fifo/random policies mutates nothing (those policies
 //     never refresh recency), so it is a pure read;
 //   * a hit under CLOCK refreshes recency with ONE relaxed atomic bit
@@ -75,17 +70,10 @@
 
 namespace zipline::gd {
 
-/// How the shared service serves its read operations (see file comment).
-enum class ReadPath : std::uint8_t {
-  locked,   ///< every operation takes its stripe mutex
-  seqlock,  ///< reads validate against per-shard sequence counters
-};
-
 class ConcurrentShardedDictionary {
  public:
   ConcurrentShardedDictionary(std::size_t capacity, EvictionPolicy policy,
                               std::size_t shard_count = 1,
-                              ReadPath read_path = ReadPath::seqlock,
                               std::uint64_t random_seed = 0x1dba5e5);
   ~ConcurrentShardedDictionary();
 
@@ -102,7 +90,6 @@ class ConcurrentShardedDictionary {
   [[nodiscard]] EvictionPolicy policy() const noexcept {
     return dict_.policy();
   }
-  [[nodiscard]] ReadPath read_path() const noexcept { return read_path_; }
 
   /// Total mapped bases / aggregated statistics. Both are assembled from
   /// lock-free shadow counters (refreshed at every locked operation) plus
@@ -131,7 +118,7 @@ class ConcurrentShardedDictionary {
       const bits::BitVector& basis) const;
 
   /// Membership test without touching recency or statistics (a named
-  /// peek, lock-free on the seqlock path).
+  /// peek, lock-free).
   [[nodiscard]] bool contains(const bits::BitVector& basis) const {
     return peek(basis).has_value();
   }
@@ -142,10 +129,9 @@ class ConcurrentShardedDictionary {
   /// `learn` — the compound transition holds ONE stripe acquisition, so
   /// two threads racing the same fresh basis cannot both pass the miss
   /// check and double-insert (tests/concurrent_dictionary_test.cpp races
-  /// four learners). On the seqlock path a hit under fifo/random is
-  /// answered from the mirror without the lock; everything else takes the
-  /// stripe lock and replays the serial engine's exact sequence (lookup,
-  /// then insert).
+  /// four learners). A hit under fifo/random/clock is answered from the
+  /// mirror without the lock; everything else takes the stripe lock and
+  /// replays the serial engine's exact sequence (lookup, then insert).
   [[nodiscard]] std::optional<std::uint32_t> lookup_or_insert(
       const bits::BitVector& basis, bool learn);
 
@@ -156,8 +142,8 @@ class ConcurrentShardedDictionary {
 
   /// Copies the basis mapped by `id` into `out` (reusing its storage);
   /// returns false when the identifier is unmapped. Refreshes recency
-  /// under LRU (which forces the stripe lock); under fifo/random the
-  /// seqlock path copies straight out of the mirror. This replaces
+  /// under LRU (which forces the stripe lock); under the other policies
+  /// it copies straight out of the mirror. This replaces
   /// lookup_basis_ref for shared callers — a reference into the entry
   /// table cannot outlive the shard lock.
   [[nodiscard]] bool lookup_basis_into(std::uint32_t id,
@@ -333,7 +319,6 @@ class ConcurrentShardedDictionary {
   }
 
   ShardedDictionary dict_;
-  ReadPath read_path_;
   std::unique_ptr<Stripe[]> stripes_;
   std::unique_ptr<Mirror[]> mirrors_;
   mutable std::atomic<std::uint64_t> stripe_acquisitions_{0};

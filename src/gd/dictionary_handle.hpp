@@ -100,7 +100,7 @@ class DictionaryHandle {
   }
 
   /// Membership test without touching recency or statistics (lock-free in
-  /// shared seqlock mode).
+  /// shared mode).
   [[nodiscard]] bool contains(const bits::BitVector& basis) const {
     return peek(basis).has_value();
   }

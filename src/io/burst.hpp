@@ -191,9 +191,8 @@ class Burst {
     slots_.push_back(Slot{Backing::segment, bytes.data(), index});
   }
 
-  /// Copies packet `i` of `from` verbatim (the legacy passthrough move —
-  /// payload bytes land in this burst's arena). Kept for external callers
-  /// and as the measurable pre-zero-copy baseline.
+  /// Copies packet `i` of `from` verbatim (payload bytes land in this
+  /// burst's arena), so the result does not depend on `from`'s lifetime.
   void append_from(const Burst& from, std::size_t i) {
     const engine::PacketDesc& d = from.descs_[i];
     append(d.type, d.syndrome, d.basis_id, from.payload(i), from.meta_[i]);

@@ -15,12 +15,10 @@ engine::ParallelOptions parallel_options(const NodeOptions& o) {
   p.workers = o.workers;
   p.queue_depth = o.queue_depth;
   p.dictionary_shards = o.dictionary_shards;
-  p.read_path = o.read_path;
   p.policy = o.policy;
   p.learn = o.learn;
   p.ownership = o.ownership;
   p.steering = o.steering;
-  p.worker_domains = o.worker_domains;
   return p;
 }
 
@@ -107,13 +105,7 @@ void Node::append_output(const Burst& in, std::size_t i,
 }
 
 void Node::append_passthrough(const Burst& in, std::size_t i, Burst& out) {
-  // Spliced by view (zero_copy) or copied verbatim (the frozen baseline
-  // path).
-  if (options_.zero_copy) {
-    out.append_view_from(in, i);
-  } else {
-    out.append_from(in, i);
-  }
+  out.append_view_from(in, i);
   ++passthrough_;
 }
 

@@ -13,9 +13,9 @@
 //     through transform -> resolve -> emit in 256-row windows: the whole
 //     burst under shared ownership, one unit per flow under per_flow.
 //   * workers > 1             -> engine::ParallelPipeline with the
-//     ordered drain, per_flow or shared dictionary ownership, pinned,
-//     load-aware or topology-aware steering (per flow and sticky under
-//     per_flow ownership, per unit under shared ownership).
+//     ordered drain, per_flow or shared dictionary ownership, pinned or
+//     load-aware steering (per flow and sticky under per_flow ownership,
+//     per unit under shared ownership).
 //
 // All arrangements are byte-identical for the same (flow, payload) unit
 // sequence: per-flow modes per flow, shared modes globally (the ordered
@@ -27,7 +27,9 @@
 // packet. The serial arrangement emits straight into `out` and then puts
 // the packets in input order; the worker pool runs one packet per unit.
 // Packets whose meta says process == false traverse untouched, keeping
-// their position — the switch's passthrough for non-ZipLine traffic.
+// their position — the switch's passthrough for non-ZipLine traffic. They
+// are spliced into `out` by view (segment refs shared, owned or external
+// payloads viewed into `in`), never copied.
 //
 // Drive a Node with io::Runner (runner.hpp): source -> node -> sink until
 // the source drains. One process() call is one flush boundary; the
@@ -64,13 +66,6 @@ struct NodeOptions {
   /// 1 = serial (no threads); >1 = engine::ParallelPipeline worker pool.
   std::size_t workers = 1;
   std::size_t dictionary_shards = 1;
-  /// Read path of the shared dictionary service (parallel shared mode):
-  /// the default seqlock path serves lookups/peeks/fetches lock-free from
-  /// a per-shard read mirror; `locked` takes a stripe mutex per op.
-  /// Output bytes are identical either way; this is purely a throughput
-  /// knob. Ignored when workers == 1 (the serial shared arrangement has
-  /// one engine and a private dictionary) or in per_flow ownership.
-  gd::ReadPath read_path = gd::ReadPath::seqlock;
   gd::EvictionPolicy policy = gd::EvictionPolicy::lru;
   bool learn = true;
   engine::DictionaryOwnership ownership =
@@ -83,26 +78,11 @@ struct NodeOptions {
   /// each window boundary. Has no effect on output bytes — flush
   /// boundaries never change the dictionary op order.
   std::size_t burst_size = 256;
-  /// Cache-domain index per worker for topology_aware steering; empty =
-  /// probe the machine (common/topology.hpp). Ignored by other steering
-  /// policies. Placement never affects output bytes.
-  std::vector<std::uint32_t> worker_domains;
-  /// Passthrough packets are spliced into `out` by VIEW (segment refs
-  /// shared, owned/external payloads viewed into `in`) instead of copied.
-  /// Output bytes are identical either way — this is purely the memory-
-  /// traffic knob, and `false` preserves the pre-zero-copy data path as
-  /// the frozen baseline `BM_NodeEncodeBurst` measures against (the same
-  /// role ByteLoopBitWriter plays for bit I/O). With `true`, `out` may
-  /// reference `in`'s payload memory until `out` is cleared, copied, or
-  /// `in` is mutated — io::Runner's pump and a ring push both satisfy
-  /// this (a Burst copy materializes foreign views).
-  bool zero_copy = true;
 
   NodeOptions& with_direction(Direction d) { direction = d; return *this; }
   NodeOptions& with_params(const gd::GdParams& p) { params = p; return *this; }
   NodeOptions& with_workers(std::size_t n) { workers = n; return *this; }
   NodeOptions& with_shards(std::size_t n) { dictionary_shards = n; return *this; }
-  NodeOptions& with_read_path(gd::ReadPath r) { read_path = r; return *this; }
   NodeOptions& with_policy(gd::EvictionPolicy p) { policy = p; return *this; }
   NodeOptions& with_learn(bool on) { learn = on; return *this; }
   NodeOptions& with_ownership(engine::DictionaryOwnership o) {
@@ -121,11 +101,6 @@ struct NodeOptions {
   NodeOptions& with_work_stealing(bool /*on*/) { return *this; }
   NodeOptions& with_queue_depth(std::size_t n) { queue_depth = n; return *this; }
   NodeOptions& with_burst_size(std::size_t n) { burst_size = n; return *this; }
-  NodeOptions& with_worker_domains(std::vector<std::uint32_t> domains) {
-    worker_domains = std::move(domains);
-    return *this;
-  }
-  NodeOptions& with_zero_copy(bool on) { zero_copy = on; return *this; }
 };
 
 /// Aggregate view over the node's internal engines. Quiescent-only in
@@ -161,10 +136,9 @@ struct NodeStats {
   /// shifts run scalar inside an sse42 table).
   std::array<simd::KernelLevel, simd::kKernelSlotCount> kernel_slot_levels{};
   /// Payload bytes the node physically copied while producing output:
-  /// engine output appended into `out`, passthrough payloads when
-  /// zero_copy is off, and parallel-decode unit staging. View splices and
-  /// segment-ref shares cost 0 here — this is the number the zero-copy
-  /// path exists to shrink (burst-level deltas of Burst::bytes_copied).
+  /// engine output appended into `out` and parallel-decode unit staging.
+  /// Passthrough splices and segment-ref shares cost 0 here (burst-level
+  /// deltas of Burst::bytes_copied).
   std::uint64_t bytes_copied = 0;
   /// bytes_copied averaged over input packets (units + passthrough) —
   /// the per-packet memory-traffic price of traversing the node, the
@@ -184,11 +158,11 @@ class Node {
   /// callers clear between bursts to recycle its arena) in input order.
   /// One call is one flush boundary: every unit of `in` is delivered
   /// before it returns. `in` must stay valid for the duration of the
-  /// call (unit inputs are views into its payloads) — and, with
-  /// options().zero_copy, until `out` is cleared, copied, or consumed:
-  /// passthrough packets in `out` may VIEW `in`'s payload memory
-  /// (segment-backed ones carry their own refs and are lifetime-safe
-  /// regardless).
+  /// call (unit inputs are views into its payloads) — and until `out` is
+  /// cleared, copied, or consumed: passthrough packets in `out` may VIEW
+  /// `in`'s payload memory (segment-backed ones carry their own refs and
+  /// are lifetime-safe regardless). io::Runner's pump and a ring push
+  /// both satisfy this (a Burst copy materializes foreign views).
   void process(const Burst& in, Burst& out);
 
   [[nodiscard]] const NodeOptions& options() const noexcept {

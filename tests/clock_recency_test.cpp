@@ -186,7 +186,7 @@ TEST(ClockTornTouch, ReadersMarkWhileWriterSweeps) {
   constexpr std::size_t kCapacity = 16;
   constexpr std::uint64_t kInserts = 2000;
   ConcurrentShardedDictionary dict(kCapacity, EvictionPolicy::clock,
-                                   /*shard_count=*/2, ReadPath::seqlock);
+                                   /*shard_count=*/2);
   for (std::uint64_t i = 0; i < kCapacity; ++i) {
     (void)dict.insert(tagged_basis(i));
   }

@@ -14,8 +14,8 @@
 //     each basis exactly once;
 //   * concurrent readers racing a writer's insert/evict/erase churn must
 //     NEVER observe a torn basis (every fetched basis satisfies a
-//     per-basis integrity invariant), across policies x shards x read
-//     paths. The TSan and ASan+UBSan CI jobs run this file.
+//     per-basis integrity invariant), across policies x shards. The
+//     TSan and ASan+UBSan CI jobs run this file.
 #include "gd/concurrent_dictionary.hpp"
 
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ TEST(SeqlockReadPath, SingleThreadedMatchesPlainDictionary) {
        {EvictionPolicy::lru, EvictionPolicy::fifo, EvictionPolicy::random}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       ShardedDictionary plain(64, policy, shards);
-      ConcurrentShardedDictionary fast(64, policy, shards, ReadPath::seqlock);
+      ConcurrentShardedDictionary fast(64, policy, shards);
       Rng rng(0x5EC1 + shards + static_cast<std::size_t>(policy));
       std::vector<bits::BitVector> pool;
       for (int i = 0; i < 96; ++i) pool.push_back(random_basis(rng));
@@ -146,61 +146,59 @@ TEST(ApplyBatch, GroupedExecutionMatchesSerialReference) {
   for (const auto policy :
        {EvictionPolicy::lru, EvictionPolicy::fifo, EvictionPolicy::random}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const auto path : {ReadPath::locked, ReadPath::seqlock}) {
-        ShardedDictionary ref(64, policy, shards);
-        ConcurrentShardedDictionary svc(64, policy, shards, path);
-        Rng rng(0xBA7C + shards + static_cast<std::size_t>(policy));
-        std::vector<bits::BitVector> pool;
-        for (int i = 0; i < 48; ++i) pool.push_back(random_basis(rng));
-        BatchScratch scratch;
+      ShardedDictionary ref(64, policy, shards);
+      ConcurrentShardedDictionary svc(64, policy, shards);
+      Rng rng(0xBA7C + shards + static_cast<std::size_t>(policy));
+      std::vector<bits::BitVector> pool;
+      for (int i = 0; i < 48; ++i) pool.push_back(random_basis(rng));
+      BatchScratch scratch;
 
-        for (int round = 0; round < 12; ++round) {
-          std::vector<BatchOp> plan;
-          std::vector<bits::BitVector> ref_out(32);
-          std::vector<bits::BitVector> svc_out(32);
-          for (int i = 0; i < 32; ++i) {
-            BatchOp op;
-            const auto roll = rng.next_below(8);
-            if (roll < 5) {
-              op.kind = roll < 4 ? BatchOp::Kind::lookup_or_insert
-                                 : BatchOp::Kind::lookup;
-              op.basis = &pool[rng.next_below(pool.size())];
-              op.hash = op.basis->hash();
-            } else if (roll < 6) {
-              op.kind = BatchOp::Kind::insert_if_absent;
-              op.basis = &pool[rng.next_below(pool.size())];
-              op.hash = op.basis->hash();
-            } else {
-              op.kind = BatchOp::Kind::fetch_basis;
-              op.id = static_cast<std::uint32_t>(rng.next_below(64));
-            }
-            plan.push_back(op);
+      for (int round = 0; round < 12; ++round) {
+        std::vector<BatchOp> plan;
+        std::vector<bits::BitVector> ref_out(32);
+        std::vector<bits::BitVector> svc_out(32);
+        for (int i = 0; i < 32; ++i) {
+          BatchOp op;
+          const auto roll = rng.next_below(8);
+          if (roll < 5) {
+            op.kind = roll < 4 ? BatchOp::Kind::lookup_or_insert
+                               : BatchOp::Kind::lookup;
+            op.basis = &pool[rng.next_below(pool.size())];
+            op.hash = op.basis->hash();
+          } else if (roll < 6) {
+            op.kind = BatchOp::Kind::insert_if_absent;
+            op.basis = &pool[rng.next_below(pool.size())];
+            op.hash = op.basis->hash();
+          } else {
+            op.kind = BatchOp::Kind::fetch_basis;
+            op.id = static_cast<std::uint32_t>(rng.next_below(64));
           }
-          std::vector<BatchOp> ref_plan = plan;
-          std::vector<BatchOp> svc_plan = plan;
-          for (std::size_t i = 0; i < plan.size(); ++i) {
-            if (plan[i].kind == BatchOp::Kind::fetch_basis) {
-              ref_plan[i].out = &ref_out[i];
-              svc_plan[i].out = &svc_out[i];
-            }
-          }
-          ref.apply_batch(ref_plan);
-          svc.apply_batch(svc_plan, scratch);
-          for (std::size_t i = 0; i < plan.size(); ++i) {
-            ASSERT_EQ(ref_plan[i].result, svc_plan[i].result)
-                << "op " << i << " round " << round;
-            if (plan[i].kind == BatchOp::Kind::fetch_basis &&
-                ref_plan[i].result != BatchOp::kNoId) {
-              ASSERT_TRUE(ref_out[i] == svc_out[i]);
-            }
+          plan.push_back(op);
+        }
+        std::vector<BatchOp> ref_plan = plan;
+        std::vector<BatchOp> svc_plan = plan;
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+          if (plan[i].kind == BatchOp::Kind::fetch_basis) {
+            ref_plan[i].out = &ref_out[i];
+            svc_plan[i].out = &svc_out[i];
           }
         }
-        EXPECT_EQ(ref.size(), svc.size());
-        EXPECT_EQ(ref.stats().hits, svc.stats().hits);
-        EXPECT_EQ(ref.stats().misses, svc.stats().misses);
-        EXPECT_EQ(ref.stats().insertions, svc.stats().insertions);
-        EXPECT_EQ(ref.stats().evictions, svc.stats().evictions);
+        ref.apply_batch(ref_plan);
+        svc.apply_batch(svc_plan, scratch);
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+          ASSERT_EQ(ref_plan[i].result, svc_plan[i].result)
+              << "op " << i << " round " << round;
+          if (plan[i].kind == BatchOp::Kind::fetch_basis &&
+              ref_plan[i].result != BatchOp::kNoId) {
+            ASSERT_TRUE(ref_out[i] == svc_out[i]);
+          }
+        }
       }
+      EXPECT_EQ(ref.size(), svc.size());
+      EXPECT_EQ(ref.stats().hits, svc.stats().hits);
+      EXPECT_EQ(ref.stats().misses, svc.stats().misses);
+      EXPECT_EQ(ref.stats().insertions, svc.stats().insertions);
+      EXPECT_EQ(ref.stats().evictions, svc.stats().evictions);
     }
   }
 }
@@ -208,8 +206,7 @@ TEST(ApplyBatch, GroupedExecutionMatchesSerialReference) {
 // The batched-resolve contract, standalone: one plan takes exactly one
 // stripe acquisition per shard it touches, however many ops it carries.
 TEST(ApplyBatch, OneStripeAcquisitionPerShard) {
-  ConcurrentShardedDictionary svc(64, EvictionPolicy::lru, 4,
-                                  ReadPath::seqlock);
+  ConcurrentShardedDictionary svc(64, EvictionPolicy::lru, 4);
   Rng rng(0xACC);
   std::vector<bits::BitVector> bases;
   for (int i = 0; i < 16; ++i) bases.push_back(random_basis(rng));
@@ -312,22 +309,17 @@ TEST(LookupOrInsert, RacingLearnersInsertEachFreshBasisOnce) {
 // The satellite stress test: concurrent readers racing a writer's
 // insert/evict/erase churn must never observe a torn basis. Bases carry a
 // self-certifying tag (upper words derived from word 0), so any mixed-
-// version read fails is_tagged. Runs the full policy x shards matrix on
-// the seqlock path (plus a locked-path control) — the TSan and ASan+UBSan
-// CI jobs execute this under their sanitizers.
+// version read fails is_tagged. Runs the policy x shards matrix — the TSan
+// and ASan+UBSan CI jobs execute this under their sanitizers.
 TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
   struct Combo {
     EvictionPolicy policy;
     std::size_t shards;
-    ReadPath path;
   };
   const Combo combos[] = {
-      {EvictionPolicy::lru, 1, ReadPath::seqlock},
-      {EvictionPolicy::lru, 4, ReadPath::seqlock},
-      {EvictionPolicy::fifo, 1, ReadPath::seqlock},
-      {EvictionPolicy::fifo, 4, ReadPath::seqlock},
-      {EvictionPolicy::random, 4, ReadPath::seqlock},
-      {EvictionPolicy::fifo, 4, ReadPath::locked},
+      {EvictionPolicy::lru, 1},    {EvictionPolicy::lru, 4},
+      {EvictionPolicy::fifo, 1},   {EvictionPolicy::fifo, 4},
+      {EvictionPolicy::random, 4},
   };
   constexpr std::size_t kCapacity = 256;    // small: constant evictions
   constexpr std::uint64_t kSeedRange = 4096;  // writer seeds wrap over this
@@ -335,8 +327,7 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
   constexpr std::uint64_t kReaderOps = 3000;
 
   for (const Combo& combo : combos) {
-    ConcurrentShardedDictionary dict(kCapacity, combo.policy, combo.shards,
-                                     combo.path);
+    ConcurrentShardedDictionary dict(kCapacity, combo.policy, combo.shards);
     // Readers do a FIXED amount of work; the writer churns until the last
     // reader finishes, so reads always race live publishes even on a
     // single-core host that runs the threads mostly back to back.
@@ -403,7 +394,7 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
 
     EXPECT_EQ(torn.load(), 0u)
         << "policy " << static_cast<int>(combo.policy) << " shards "
-        << combo.shards << " path " << static_cast<int>(combo.path);
+        << combo.shards;
     EXPECT_GT(verified.load(), 0u) << "readers must have fetched something";
     const DictionaryStats stats = dict.stats();
     EXPECT_LE(dict.size(), kCapacity);
@@ -411,8 +402,7 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
     // nor erased (erase frees an identifier without counting an eviction,
     // so insertions - evictions only bounds the population from above).
     EXPECT_GE(stats.insertions - stats.evictions, dict.size());
-    if (combo.path == ReadPath::seqlock &&
-        combo.policy != EvictionPolicy::lru) {
+    if (combo.policy != EvictionPolicy::lru) {
       EXPECT_GT(stats.lockfree_reads, 0u);
     }
   }
@@ -422,8 +412,7 @@ TEST(SeqlockReadPath, ConcurrentReadersNeverSeeTornBases) {
 // reference; through a shared handle it is the grouped concurrent plan —
 // and both agree with per-op execution.
 TEST(DictionaryHandle, ApplyBatchDispatchesThroughBothModes) {
-  ConcurrentShardedDictionary service(32, EvictionPolicy::fifo, 2,
-                                      ReadPath::seqlock);
+  ConcurrentShardedDictionary service(32, EvictionPolicy::fifo, 2);
   DictionaryHandle shared(service);
   DictionaryHandle owned(32, EvictionPolicy::fifo, 2);
   Rng rng(0xD15);

@@ -9,6 +9,7 @@
 // reproduce the pre-redesign zipline_pcap window loop file-for-file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -995,20 +996,26 @@ TEST(BurstViews, CopyMaterializesExternalViewsAndSharesSegments) {
             seg_payload);
 }
 
-// zero_copy on/off is purely a memory-traffic knob: the full
-// ring -> node -> ring pass must produce byte-identical output across
-// the flag, for serial and parallel, per-flow and shared arrangements —
-// while the node's copy accounting shows the zero-copy path actually
-// copying less on passthrough-heavy traffic.
-TEST(NodeZeroCopy, OutputIdenticalAndCheaperThanCopyingBaseline) {
+// Passthrough is spliced by view: in every arrangement (serial and
+// parallel, per-flow and shared) the node copies exactly the engine's
+// output bytes and nothing for passthrough packets, and every passthrough
+// packet leaves at its input position with its bytes unchanged.
+TEST(NodePassthrough, SplicedByViewAtInputPosition) {
   GdParams params;
   for (const auto ownership :
        {DictionaryOwnership::per_flow, DictionaryOwnership::shared}) {
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ownership="
+                   << (ownership == DictionaryOwnership::shared ? "shared"
+                                                                : "per_flow")
+                   << " workers=" << workers);
       Rng rng(0x2E0 + workers +
               (ownership == DictionaryOwnership::shared ? 100 : 0));
       // Segment-backed traffic, half passthrough — the shape a pooled
-      // source (pcap, sim port) serves.
+      // source (pcap, sim port) serves. A processed payload is one chunk,
+      // so it encodes to exactly one wire packet and output position k
+      // belongs to input packet k.
       BufferPool pool(16384, 16);
       SegmentWriter writer(pool);
       Burst in;
@@ -1027,38 +1034,33 @@ TEST(NodeZeroCopy, OutputIdenticalAndCheaperThanCopyingBaseline) {
                           writer.segment(), meta);
       }
 
-      const auto run = [&](bool zero_copy, std::uint64_t& bytes_copied) {
-        Node node(base_options(ownership, EvictionPolicy::lru, workers,
-                               params)
-                      .with_direction(Direction::encode)
-                      .with_zero_copy(zero_copy));
-        MemoryRing ring(4);
-        Burst out;
-        for (int round = 0; round < 3; ++round) {
-          out.clear();
-          node.process(in, out);
-          EXPECT_TRUE(ring.try_push(out));
+      Node node(base_options(ownership, EvictionPolicy::lru, workers, params)
+                    .with_direction(Direction::encode));
+      Burst out;
+      std::uint64_t engine_bytes = 0;
+      for (int round = 0; round < 3; ++round) {
+        out.clear();
+        node.process(in, out);
+        ASSERT_EQ(out.size(), in.size());
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          ASSERT_EQ(out.meta(k).process, in.meta(k).process) << "packet " << k;
+          if (out.meta(k).process) {
+            engine_bytes += out.payload(k).size();
+            continue;
+          }
+          EXPECT_EQ(out.desc(k).type, in.desc(k).type) << "packet " << k;
+          EXPECT_EQ(out.meta(k).flow, in.meta(k).flow) << "packet " << k;
+          EXPECT_EQ(out.meta(k).ether_type, in.meta(k).ether_type)
+              << "packet " << k;
+          EXPECT_TRUE(std::equal(out.payload(k).begin(), out.payload(k).end(),
+                                 in.payload(k).begin(), in.payload(k).end()))
+              << "packet " << k;
         }
-        bytes_copied =
-            node.stats().bytes_copied + ring.stats().bytes_copied;
-        // Pop the last round back out for comparison.
-        Burst result;
-        Burst scratch;
-        while (ring.try_pop(scratch)) std::swap(result, scratch);
-        return result;
-      };
-
-      std::uint64_t zero_copy_bytes = 0;
-      std::uint64_t baseline_bytes = 0;
-      const Burst fast = run(true, zero_copy_bytes);
-      const Burst slow = run(false, baseline_bytes);
-      ASSERT_TRUE(same_packets(fast, slow))
-          << "zero_copy changed output bytes (ownership="
-          << (ownership == DictionaryOwnership::shared ? "shared"
-                                                       : "per_flow")
-          << ", workers=" << workers << ")";
-      EXPECT_LT(zero_copy_bytes, baseline_bytes)
-          << "zero_copy path must copy strictly fewer payload bytes";
+      }
+      const NodeStats stats = node.stats();
+      EXPECT_EQ(stats.passthrough, 3u * 24u);
+      EXPECT_EQ(stats.bytes_copied, engine_bytes)
+          << "passthrough packets must cost no copied bytes";
     }
   }
 }

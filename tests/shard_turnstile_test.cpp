@@ -1,4 +1,4 @@
-// Per-shard resolve turnstiles + topology-aware steering properties.
+// Per-shard resolve turnstile properties.
 //
 // PR 6 replaced the shared ordered pipeline's single global resolve
 // turnstile with one turnstile per dictionary shard: a unit waits only on
@@ -6,8 +6,8 @@
 // concurrently. The acceptance property is unchanged from the global
 // turnstile it replaced: shared-mode parallel output is byte-identical to
 // ONE single-threaded engine processing every unit in submission order —
-// now also under EvictionPolicy::clock and FlowSteering::topology_aware —
-// plus the new observability contracts:
+// now also under EvictionPolicy::clock — plus the new observability
+// contracts:
 //
 //   * workers == 1 admits every unit instantly: turnstile_waits == 0;
 //   * clock_touches counts recency marks only under the clock policy;
@@ -21,9 +21,7 @@
 #include <tuple>
 #include <vector>
 
-#include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "common/topology.hpp"
 #include "io/node.hpp"
 
 namespace zipline::engine {
@@ -230,61 +228,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{8}),
                        ::testing::Values(std::size_t{1}, std::size_t{4})));
 
-// Topology-aware steering with an injected two-domain topology: placement
-// may only affect balance, never bytes — and flows spread across both
-// domains' workers rather than collapsing onto one.
-TEST(TopologySteering, InjectedDomainsKeepSerialByteIdentity) {
-  GdParams params;
-  params.id_bits = 5;
-  ParallelOptions options =
-      shared_options(EvictionPolicy::lru, 2, /*workers=*/4);
-  options.steering = FlowSteering::topology_aware;
-  options.worker_domains = {0, 0, 1, 1};
-
-  Rng rng(0x70B0);
-  const Schedule schedule = make_zipf_schedule(rng, params, 150, 16);
-  (void)run_and_check_identity(params, options, schedule);
-}
-
-// Same property with the machine probe (empty worker_domains): whatever
-// topology the host reports — including the single-domain portable
-// fallback, where topology_aware degrades to plain load_aware — output
-// stays byte-identical to the serial engine.
-TEST(TopologySteering, ProbeFallbackKeepsSerialByteIdentity) {
-  GdParams params;
-  params.id_bits = 5;
-  ParallelOptions options =
-      shared_options(EvictionPolicy::clock, 2, /*workers=*/3);
-  options.steering = FlowSteering::topology_aware;
-
-  Rng rng(0x70B1);
-  const Schedule schedule = make_zipf_schedule(rng, params, 120, 10);
-  (void)run_and_check_identity(params, options, schedule);
-}
-
-// The probe itself: detect() always yields at least one domain covering
-// at least one CPU, and worker_domains() maps every worker to a valid
-// dense domain index.
-TEST(TopologySteering, ProbeYieldsDenseDomains) {
-  const common::Topology topo = common::Topology::detect();
-  ASSERT_GE(topo.domains, 1u);
-  ASSERT_FALSE(topo.cpu_domain.empty());
-  for (const std::uint32_t d : topo.cpu_domain) EXPECT_LT(d, topo.domains);
-  const auto domains = common::worker_domains(topo, 7);
-  ASSERT_EQ(domains.size(), 7u);
-  for (const std::uint32_t d : domains) EXPECT_LT(d, topo.domains);
-}
-
-// An injected topology must name a domain for every worker.
-TEST(TopologySteering, MismatchedWorkerDomainsAreRejected) {
-  GdParams params;
-  ParallelOptions options =
-      shared_options(EvictionPolicy::lru, 1, /*workers=*/4);
-  options.steering = FlowSteering::topology_aware;
-  options.worker_domains = {0, 1};  // 2 entries, 4 workers
-  EXPECT_THROW(ParallelEncoder(params, options, nullptr), ContractViolation);
-}
-
 // The counters surface through the Node facade: a parallel shared node
 // aggregates its service's DictionaryStats (same insertions as the serial
 // shared node fed the same burst), the serial node reports its private
@@ -312,8 +255,7 @@ TEST(TurnstileStats, CountersFlowThroughNodeStats) {
   io::Node serial(base);
   io::Node parallel(NodeOptions{base}
                         .with_workers(4)
-                        .with_steering(FlowSteering::topology_aware)
-                        .with_worker_domains({0, 0, 1, 1}));
+                        .with_steering(FlowSteering::load_aware));
   io::Burst out_serial;
   io::Burst out_parallel;
   serial.process(in, out_serial);
